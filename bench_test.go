@@ -672,10 +672,12 @@ func BenchmarkInternetScale(b *testing.B) {
 // BenchmarkDeltaVerify measures the serve-mode what-if loop on the n=5000
 // chain instance: one ranking edit followed by re-verification. mode=full
 // is the pre-daemon cost (SPP → algebra conversion, constraint generation,
-// fresh solve — what every edit paid before delta re-verification);
-// mode=delta patches the resident verifier's constraint system and
-// re-probes only the affected dispute-digraph region. The ≥5× gap between
-// the two is the PR's acceptance trajectory point.
+// fresh solve — what every edit paid before delta re-verification), kept
+// unchanged so the trajectory stays comparable; mode=rebuild applies the
+// edit to a resident verifier and re-decides the instance from scratch on
+// the one SPP pipeline (VerifyFull, the current alternative to a delta
+// solve); mode=delta patches the resident verifier's constraint system and
+// re-probes only the affected dispute-digraph region.
 func BenchmarkDeltaVerify(b *testing.B) {
 	const n = 5000
 	ctx := context.Background()
@@ -736,5 +738,22 @@ func BenchmarkDeltaVerify(b *testing.B) {
 			b.Fatal("delta mode never delta-solved")
 		}
 		b.ReportMetric(float64(st.DeltaSolves)/float64(st.Checks), "delta-ratio")
+	})
+	b.Run("mode=rebuild", func(b *testing.B) {
+		v, err := spp.NewDeltaVerifier(spp.ChainGadget(n))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := v.ReRank(spp.Node(mid), orders[i%2]...); err != nil {
+				b.Fatal(err)
+			}
+			res, _, err := v.VerifyFull(ctx)
+			if err != nil || !res.Sat {
+				b.Fatalf("chain should be sat (err=%v)", err)
+			}
+		}
 	})
 }

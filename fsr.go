@@ -40,9 +40,7 @@
 // sized by [WithParallelism].
 //
 // The zero-configuration path still works: fsr.NewSession() uses the native
-// solver, the simulation runner, seed 1, and unbatched sends. The package-
-// level free functions of earlier versions remain as thin deprecated
-// wrappers over a default session (see compat.go).
+// solver, the simulation runner, seed 1, and unbatched sends.
 //
 // The heavy lifting lives in the internal packages (algebra, smt, analysis,
 // spp, ndlog, engine, simnet, pathvector, hlp, topology, experiments); this

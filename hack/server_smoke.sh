@@ -2,7 +2,9 @@
 # End-to-end smoke for `fsr serve`: start the daemon with the differential
 # oracle on, load the Figure 3 gadget, drive the README's repair session
 # over HTTP, and assert from /metrics that delta re-verification actually
-# ran (fsr_delta_solves_total > 0) with zero oracle mismatches. Then the
+# ran (fsr_delta_solves_total > 0) with zero oracle mismatches. A resident
+# internet:2000 tenant then takes one rerank what-if and one verify under
+# the same oracle, with the mismatch count still zero. Then the
 # diagnosis surface: an internet-scale POST /v1/analyze must move the
 # condensation counters, the dashboard and flight recorder must serve, a
 # slow op must be retrievable with its span tree, fsr top must render a
@@ -61,6 +63,23 @@ probes="$(echo "$metrics" | awk '$1 == "fsr_smt_probes_total" {print $2}')"
 # The shared obs registry rides along on the daemon's /metrics: the solver
 # introspection counters must have moved during the verifications above.
 [ "${probes:-0}" -gt 0 ] || { echo "FAIL: fsr_smt_probes_total=$probes, want > 0" >&2; exit 1; }
+
+# A resident internet-scale tenant under the same oracle: load
+# internet:2000, reverse the ranking of its first multi-path node, and
+# verify. Each answer is replayed through the full rebuild and must agree.
+curl -fsS -X POST "$base/v1/instances" -d '{"id":"inet","gadget":"internet:2000"}' \
+    | grep -q '"nodes":2000'
+op="$(curl -fsS "$base/v1/instances/inet" | jq -c '.instance.rank | to_entries
+    | map(select(.value | length >= 2)) | first
+    | {ops: [{op: "rerank", node: .key, paths: (.value | reverse)}]}')"
+curl -fsS -X POST "$base/v1/instances/inet/whatif" -d "$op" \
+    | jq -e '.oracle_checked and (.oracle_mismatch | not)' >/dev/null \
+    || { echo "FAIL: internet:2000 what-if disagrees with the oracle" >&2; exit 1; }
+curl -fsS -X POST "$base/v1/instances/inet/verify" \
+    | jq -e '.oracle_checked and (.oracle_mismatch | not)' >/dev/null \
+    || { echo "FAIL: internet:2000 verify disagrees with the oracle" >&2; exit 1; }
+mismatch="$(curl -fsS "$base/metrics" | awk '$1 == "fsr_oracle_mismatches_total" {print $2}')"
+[ "${mismatch:-1}" -eq 0 ] || { echo "FAIL: fsr_oracle_mismatches_total=$mismatch after internet:2000" >&2; exit 1; }
 
 # -pprof mounts the Go profiling endpoints on the same listener.
 curl -fsS "$base/debug/pprof/cmdline" >/dev/null \

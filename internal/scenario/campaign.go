@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fsr/internal/analysis"
 	"fsr/internal/engine"
 	"fsr/internal/obs"
 	"fsr/internal/smt"
@@ -358,29 +357,24 @@ func (r *Report) String() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// evaluate runs the differential pipeline on one instance: §III-B
-// conversion, strict-monotonicity analysis, and (unless NoSim) a bounded
-// execution on the spec's runner, with plan's faults injected when non-nil.
-// simSeed keys the execution's deterministic randomness. suspects is the
-// §VI-B suspect set (the nodes the unsat core implicates) when the analysis
-// proves the instance unsafe; rep is nil when no execution ran.
+// evaluate runs the differential pipeline on one instance:
+// strict-monotonicity analysis on the one SPP pipeline and (unless NoSim)
+// §III-B conversion plus a bounded execution on the spec's runner, with
+// plan's faults injected when non-nil. simSeed keys the execution's
+// deterministic randomness. suspects is the §VI-B suspect set (the nodes
+// the unsat core implicates) when the analysis proves the instance unsafe;
+// rep is nil when no execution ran.
 func evaluate(ctx context.Context, in *spp.Instance, spec Spec, simSeed int64, plan *engine.FaultPlan) (sat bool, suspects []string, rep *engine.RunReport, err error) {
 	actx, asp := obs.StartSpan(ctx, "analyze")
-	conv, err := in.ToAlgebra()
-	if err != nil {
-		asp.End()
-		return false, nil, nil, err
-	}
-	res, err := analysis.CheckWith(actx, conv.Algebra, analysis.StrictMonotonicity, spec.Solver)
+	// One worker: the campaign already fans scenarios across the pool.
+	res, sus, err := spp.Analyze(actx, in, spec.Solver, 1)
 	asp.End()
 	if err != nil {
 		return false, nil, nil, err
 	}
 	sat = res.Sat
-	if !sat {
-		for _, n := range conv.SuspectNodes(res.Core) {
-			suspects = append(suspects, string(n))
-		}
+	for _, n := range sus {
+		suspects = append(suspects, string(n))
 	}
 	if spec.NoSim {
 		return sat, suspects, nil, nil
@@ -389,7 +383,10 @@ func evaluate(ctx context.Context, in *spp.Instance, spec Spec, simSeed int64, p
 		simSeed = 1
 	}
 	sctx, ssp := obs.StartSpan(ctx, "simulate")
-	rep, err = spec.Runner.Run(sctx, conv, engine.RunOptions{Seed: simSeed, Horizon: spec.Horizon, Plan: plan})
+	conv, err := in.ToAlgebra()
+	if err == nil {
+		rep, err = spec.Runner.Run(sctx, conv, engine.RunOptions{Seed: simSeed, Horizon: spec.Horizon, Plan: plan})
+	}
 	ssp.End()
 	if err != nil {
 		return sat, suspects, nil, err

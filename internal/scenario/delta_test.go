@@ -3,60 +3,73 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
+	"fsr/internal/analysis"
+	"fsr/internal/smt"
 	"fsr/internal/spp"
 )
 
-// requireDeltaParity checks the delta verifier and the full-pipeline oracle
-// agree bit for bit on the verifier's current instance.
+// classicAnalyze is the independent test oracle: the §III-B conversion,
+// the classic §IV-B constraint generation and native solve, and the
+// Conversion's suspect lookup.
+func classicAnalyze(ctx context.Context, in *spp.Instance) (analysis.Result, []spp.Node, error) {
+	conv, err := in.ToAlgebra()
+	if err != nil {
+		return analysis.Result{}, nil, err
+	}
+	res, err := analysis.CheckWith(ctx, conv.Algebra, analysis.StrictMonotonicity, smt.Native{})
+	if err != nil {
+		return analysis.Result{}, nil, err
+	}
+	return res, conv.SuspectNodes(res.Core), nil
+}
+
+// requireDeltaParity checks the delta path and VerifyFull each agree bit
+// for bit with the classic oracle on the verifier's current instance.
 func requireDeltaParity(t *testing.T, label string, v *spp.DeltaVerifier) {
 	t.Helper()
-	got, gotSus, gotErr := v.Verify(context.Background())
-	want, wantSus, wantErr := v.VerifyFull(context.Background())
-	if (gotErr != nil) != (wantErr != nil) {
-		t.Fatalf("%s: error mismatch: delta %v, oracle %v", label, gotErr, wantErr)
-	}
-	if gotErr != nil {
-		return
-	}
-	if got.Sat != want.Sat {
-		t.Fatalf("%s: Sat = %v, oracle %v", label, got.Sat, want.Sat)
-	}
-	if got.NumPreference != want.NumPreference || got.NumMonotonicity != want.NumMonotonicity {
-		t.Fatalf("%s: counts (%d pref, %d mono), oracle (%d, %d)",
-			label, got.NumPreference, got.NumMonotonicity, want.NumPreference, want.NumMonotonicity)
-	}
-	if len(got.Model) != len(want.Model) {
-		t.Fatalf("%s: model size %d, oracle %d", label, len(got.Model), len(want.Model))
-	}
-	for k, val := range want.Model {
-		if got.Model[k] != val {
-			t.Fatalf("%s: model[%s] = %d, oracle %d", label, k, got.Model[k], val)
+	ctx := context.Background()
+	want, wantSus, wantErr := classicAnalyze(ctx, v.Snapshot())
+	for _, path := range []struct {
+		name   string
+		verify func(context.Context) (analysis.Result, []spp.Node, error)
+	}{{"delta", v.Verify}, {"full", v.VerifyFull}} {
+		got, gotSus, gotErr := path.verify(ctx)
+		l := label + " (" + path.name + ")"
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s: error %v, oracle %v", l, gotErr, wantErr)
 		}
-	}
-	if len(got.Core) != len(want.Core) {
-		t.Fatalf("%s: core size %d, oracle %d\n got: %v\nwant: %v",
-			label, len(got.Core), len(want.Core), got.Core, want.Core)
-	}
-	for i := range want.Core {
-		if got.Core[i] != want.Core[i] {
-			t.Fatalf("%s: Core[%d] = %v, oracle %v", label, i, got.Core[i], want.Core[i])
+		if gotErr != nil {
+			continue
 		}
-	}
-	if fmt.Sprint(gotSus) != fmt.Sprint(wantSus) {
-		t.Fatalf("%s: suspects %v, oracle %v", label, gotSus, wantSus)
+		if got.Sat != want.Sat {
+			t.Fatalf("%s: Sat = %v, oracle %v", l, got.Sat, want.Sat)
+		}
+		if got.NumPreference != want.NumPreference || got.NumMonotonicity != want.NumMonotonicity {
+			t.Fatalf("%s: counts (%d pref, %d mono), oracle (%d, %d)",
+				l, got.NumPreference, got.NumMonotonicity, want.NumPreference, want.NumMonotonicity)
+		}
+		if !reflect.DeepEqual(got.Model, want.Model) {
+			t.Fatalf("%s: model %v, oracle %v", l, got.Model, want.Model)
+		}
+		if !reflect.DeepEqual(got.Core, want.Core) {
+			t.Fatalf("%s: core %v, oracle %v", l, got.Core, want.Core)
+		}
+		if fmt.Sprint(gotSus) != fmt.Sprint(wantSus) {
+			t.Fatalf("%s: suspects %v, oracle %v", l, gotSus, wantSus)
+		}
 	}
 }
 
 // TestDeltaVerifierScenarioSeeds drives the delta verifier over procedurally
-// generated instances — gadget splices, Gao-Rexford policies, and iBGP
-// route-reflection configurations — applying a generic edit sequence
-// (ranking rotation and restoration, session failure) and asserting parity
-// with the full-rebuild oracle after every step.
+// generated instances of every scenario kind — gadget splices, Gao-Rexford
+// policies, iBGP route-reflection configurations, and the rest — applying
+// a generic edit sequence (ranking rotation and restoration, session
+// failure) and asserting parity with the classic oracle after every step.
 func TestDeltaVerifierScenarioSeeds(t *testing.T) {
-	kinds := []Kind{GadgetSplice, GaoRexford, IBGP}
-	for _, kind := range kinds {
+	for _, kind := range Kinds() {
 		for seed := int64(1); seed <= 5; seed++ {
 			t.Run(fmt.Sprintf("%s-%d", kind, seed), func(t *testing.T) {
 				sc, err := Generate(kind, seed)

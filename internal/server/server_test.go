@@ -233,6 +233,26 @@ func TestServerInstanceUpload(t *testing.T) {
 	}
 }
 
+// TestServerRejectsDuplicateSession: an uploaded instance that repeats a
+// session is refused at load (400) with the conversion's duplicate-link
+// error, instead of loading a verifier whose delta verdict its own oracle
+// cannot reproduce.
+func TestServerRejectsDuplicateSession(t *testing.T) {
+	_, ts := newTestServer(t, true)
+	enc := scenario.EncodeInstance(spp.BadGadget())
+	enc.Sessions = append(enc.Sessions, scenario.SessionJSON{A: "1", B: "2"})
+	var errBody struct {
+		Error string `json:"error"`
+	}
+	if code := call(t, "POST", ts.URL+"/v1/instances",
+		map[string]any{"id": "dup", "instance": enc}, &errBody); code != http.StatusBadRequest {
+		t.Fatalf("create: status %d, want 400", code)
+	}
+	if !strings.Contains(errBody.Error, "duplicate link 1→2") {
+		t.Fatalf("error %q, want the duplicate-link error", errBody.Error)
+	}
+}
+
 // TestServerErrors covers the API's failure envelope.
 func TestServerErrors(t *testing.T) {
 	_, ts := newTestServer(t, false)

@@ -9,23 +9,21 @@
 // smt.DeltaContext. The solver then re-probes only the dispute-digraph
 // region those constraints reach.
 //
-// Correctness is anchored to the full pipeline, not argued independently:
-// segment generation mirrors Instance.ToAlgebra + analysis constraint
-// generation statement for statement (same orderings, same provenance
-// strings, same variable naming via analysis.VarName), tests enforce
-// bit-for-bit parity against VerifyFull, and any instance the mirror cannot
-// name identically — signature-rendering collisions, duplicate permitted
-// paths — flips the verifier into degraded mode, where Verify transparently
-// runs the full pipeline instead.
+// Correctness is anchored to the one SPP pipeline, not argued
+// independently: the initial segments are that pipeline's sharded
+// constraint buffer, edits regenerate segments with the same two
+// constraint constructors, VerifyFull runs the pipeline afresh as the
+// differential oracle, and any instance the mirror cannot name identically
+// — a solver-variable name shared by two paths, which the pipeline
+// suffixes or rejects — flips the verifier into degraded mode, where
+// Verify runs the pipeline instead.
 
 package spp
 
 import (
 	"context"
 	"fmt"
-	"sort"
 
-	"fsr/internal/algebra"
 	"fsr/internal/analysis"
 	"fsr/internal/smt"
 )
@@ -43,47 +41,40 @@ type DeltaVerifier struct {
 	cons   []analysis.Constraint
 	segLen []int
 
-	// symCount counts permitted paths per signature rendering; nameCount
-	// per sanitized solver-variable name. Any rendering shared by two paths
-	// (a ToAlgebra error) or any name collision (where the full pipeline
-	// would suffix) makes the incremental mirror unsound, so dupSyms /
-	// dupNames > 0 degrades Verify to the full pipeline until edits resolve
-	// the clash.
-	symCount  map[string]int
+	// nameCount counts permitted paths per sanitized solver-variable name.
+	// A shared name — equal renderings (a ToAlgebra error) or a
+	// sanitization collision (which the pipeline suffixes) — makes the
+	// incremental mirror unsound, so dupNames > 0 degrades Verify to the
+	// full pipeline until edits resolve the clash.
 	nameCount map[string]int
-	dupSyms   int
 	dupNames  int
 }
 
 // NewDeltaVerifier builds the resident constraint state for a deep copy of
-// the instance. The instance must validate; rendering collisions are
-// tolerated (the verifier starts degraded and recovers if edits remove
-// them).
+// the instance from the pipeline's interned view. The instance must
+// validate; name collisions are tolerated (the verifier starts degraded
+// and recovers if edits remove them).
 func NewDeltaVerifier(in *Instance) (*DeltaVerifier, error) {
 	cp := cloneInstance(in)
-	if err := cp.Validate(); err != nil {
+	p, err := buildShardPrep(cp, 0)
+	if err != nil {
 		return nil, err
 	}
+	p.internVars(0)
 	v := &DeltaVerifier{
 		in:        cp,
-		symCount:  map[string]int{},
-		nameCount: map[string]int{},
+		cons:      p.shardedConstraints(p.vars, 0),
+		segLen:    make([]int, len(cp.Nodes)+len(cp.Links)),
+		nameCount: make(map[string]int, p.nPaths),
 	}
-	for _, n := range cp.Nodes {
-		for _, p := range cp.Permitted[n] {
-			v.countPath(p, +1)
-		}
+	for _, name := range p.vars {
+		v.bumpName(string(name), +1)
 	}
-	v.segLen = make([]int, 0, len(cp.Nodes)+len(cp.Links))
-	for _, n := range cp.Nodes {
-		seg := v.prefSeg(n)
-		v.cons = append(v.cons, seg...)
-		v.segLen = append(v.segLen, len(seg))
+	for ni := range cp.Nodes {
+		v.segLen[ni] = int(p.prefOff[ni+1] - p.prefOff[ni])
 	}
-	for _, l := range cp.Links {
-		seg := v.monoSeg(l)
-		v.cons = append(v.cons, seg...)
-		v.segLen = append(v.segLen, len(seg))
+	for _, m := range p.matches {
+		v.segLen[len(cp.Nodes)+int(m.li)]++
 	}
 	v.dc = smt.NewDeltaContext(assertsOf(v.cons))
 	return v, nil
@@ -96,9 +87,9 @@ func (v *DeltaVerifier) Name() string { return v.in.Name }
 func (v *DeltaVerifier) Snapshot() *Instance { return cloneInstance(v.in) }
 
 // Degraded reports whether the incremental mirror is unsound for the
-// current instance (rendering collision or duplicate permitted path) and
-// Verify is falling back to the full pipeline.
-func (v *DeltaVerifier) Degraded() bool { return v.dupSyms > 0 || v.dupNames > 0 }
+// current instance (two paths share a solver-variable name) and Verify is
+// running the full pipeline instead.
+func (v *DeltaVerifier) Degraded() bool { return v.dupNames > 0 }
 
 // DeltaStats returns the underlying solver's delta statistics.
 func (v *DeltaVerifier) DeltaStats() smt.DeltaStats { return v.dc.Stats() }
@@ -111,13 +102,8 @@ func (v *DeltaVerifier) Clone() *DeltaVerifier {
 		dc:        v.dc.Clone(),
 		cons:      append([]analysis.Constraint(nil), v.cons...),
 		segLen:    append([]int(nil), v.segLen...),
-		symCount:  make(map[string]int, len(v.symCount)),
 		nameCount: make(map[string]int, len(v.nameCount)),
-		dupSyms:   v.dupSyms,
 		dupNames:  v.dupNames,
-	}
-	for k, n := range v.symCount {
-		c.symCount[k] = n
 	}
 	for k, n := range v.nameCount {
 		c.nameCount[k] = n
@@ -133,7 +119,7 @@ func (v *DeltaVerifier) Verify(ctx context.Context) (analysis.Result, []Node, er
 	// Degenerate instances (no links, or no permitted paths at all) are
 	// rejected by the algebra builder; route them through the full pipeline
 	// so the caller sees the same error a fresh analysis would produce.
-	if v.Degraded() || len(v.in.Links) == 0 || len(v.symCount) == 0 {
+	if v.Degraded() || len(v.in.Links) == 0 || len(v.nameCount) == 0 {
 		return v.VerifyFull(ctx)
 	}
 	out, err := v.dc.Check(ctx)
@@ -166,22 +152,16 @@ func (v *DeltaVerifier) Verify(ctx context.Context) (analysis.Result, []Node, er
 			res.Core = append(res.Core, v.cons[i])
 		}
 	}
-	return res, v.suspects(res.Core), nil
+	return res, suspectNodes(res.Core, v.in.coreOwners(res.Core)), nil
 }
 
-// VerifyFull runs the full pipeline — ToAlgebra, fresh constraint
-// generation, fresh solve — on the current instance. It is the differential
-// oracle the delta path is tested (and optionally served) against.
+// VerifyFull decides the current instance afresh on the one SPP pipeline
+// (Analyze on the native engine): validation, interning, constraint
+// generation, and solve from scratch, sharing no state with the delta
+// path. It is the differential oracle the delta path is served against
+// under -check-oracle, and what a degraded Verify runs.
 func (v *DeltaVerifier) VerifyFull(ctx context.Context) (analysis.Result, []Node, error) {
-	conv, err := v.in.ToAlgebra()
-	if err != nil {
-		return analysis.Result{}, nil, err
-	}
-	res, err := analysis.CheckWith(ctx, conv.Algebra, analysis.StrictMonotonicity, smt.Native{})
-	if err != nil {
-		return analysis.Result{}, nil, err
-	}
-	return res, conv.SuspectNodes(res.Core), nil
+	return Analyze(ctx, v.in, smt.Native{}, 0)
 }
 
 // ReRank replaces a node's ranked permitted paths (declaring the node and
@@ -298,8 +278,15 @@ func (v *DeltaVerifier) AddSession(a, b Node, cost int) error {
 	if a == b || a == "" || b == "" {
 		return fmt.Errorf("spp %s: invalid session %s↔%s", v.in.Name, a, b)
 	}
-	if v.in.HasLink(a, b) || v.in.HasLink(b, a) {
-		return fmt.Errorf("spp %s: session %s↔%s already exists", v.in.Name, a, b)
+	for _, l := range v.in.Links {
+		for _, nl := range [2]Link{{a, b}, {b, a}} {
+			switch {
+			case l == nl:
+				return fmt.Errorf("spp %s: session %s↔%s already exists", v.in.Name, a, b)
+			case sameLabel(l, nl):
+				return fmt.Errorf("spp %s: link %s would repeat the label of link %s", v.in.Name, nl, l)
+			}
+		}
 	}
 	for _, n := range []Node{a, b} {
 		if !v.in.isReal(n) {
@@ -337,11 +324,9 @@ func (v *DeltaVerifier) refreshIncident(touched map[Node]bool) error {
 
 // --- segment generation (the incremental mirror of §IV-B) ---
 
-// term names a permitted path's solver variable exactly as the full
+// varOf names a permitted path's solver variable exactly as the full
 // pipeline does for a collision-free instance.
-func (v *DeltaVerifier) term(p Path) smt.Term {
-	return smt.Term{Var: analysis.VarName(sigName(p))}
-}
+func varOf(p Path) smt.Var { return analysis.VarName(sigName(p)) }
 
 // prefSeg generates the node's preference segment: the ranked list as
 // adjacent strict pairs, Builder.Chain's expansion.
@@ -352,21 +337,7 @@ func (v *DeltaVerifier) prefSeg(n Node) []analysis.Constraint {
 	}
 	out := make([]analysis.Constraint, 0, len(paths)-1)
 	for i := 0; i+1 < len(paths); i++ {
-		pair := algebra.PrefPair{
-			A:      algebra.Symbol(sigName(paths[i])),
-			B:      algebra.Symbol(sigName(paths[i+1])),
-			Strict: true,
-		}
-		out = append(out, analysis.Constraint{
-			Assertion: smt.Assertion{
-				Rel:    smt.Lt,
-				A:      v.term(paths[i]),
-				B:      v.term(paths[i+1]),
-				Origin: "pref: " + pair.String(),
-			},
-			Kind: analysis.KindPreference,
-			Pref: pair,
-		})
+		out = append(out, prefConstraint(sigName(paths[i]), sigName(paths[i+1]), varOf(paths[i]), varOf(paths[i+1])))
 	}
 	return out
 }
@@ -377,28 +348,15 @@ func (v *DeltaVerifier) prefSeg(n Node) []analysis.Constraint {
 // algebra.ConcatTable this link contributes.
 func (v *DeltaVerifier) monoSeg(l Link) []analysis.Constraint {
 	var out []analysis.Constraint
-	lab := algebra.LSym("l_" + string(l.From) + string(l.To))
+	lab := linkLabel(l)
+	permF := v.in.Permitted[l.From]
 	for _, q := range v.in.Permitted[l.To] {
-		p := make(Path, 0, len(q)+1)
-		p = append(append(p, l.From), q...)
-		if !v.in.permitted(p) {
+		fq := extensionRank(permF, l.From, q)
+		if fq < 0 {
 			continue
 		}
-		entry := algebra.ConcatEntry{
-			Label: lab,
-			In:    algebra.Symbol(sigName(q)),
-			Out:   algebra.Symbol(sigName(p)),
-		}
-		out = append(out, analysis.Constraint{
-			Assertion: smt.Assertion{
-				Rel:    smt.Lt,
-				A:      v.term(q),
-				B:      v.term(p),
-				Origin: "mono: " + entry.String(),
-			},
-			Kind:  analysis.KindMonotonicity,
-			Entry: entry,
-		})
+		p := permF[fq]
+		out = append(out, monoConstraint(lab, sigName(q), sigName(p), varOf(q), varOf(p)))
 	}
 	return out
 }
@@ -459,62 +417,23 @@ func (v *DeltaVerifier) removeSeg(id int) error {
 	return nil
 }
 
-// countPath tracks rendering and variable-name multiplicity as paths come
-// and go, maintaining the degradation counters.
-func (v *DeltaVerifier) countPath(p Path, d int) {
-	sym := sigName(p)
-	bump := func(m map[string]int, key string, dup *int) {
-		old := m[key]
-		nw := old + d
-		if nw == 0 {
-			delete(m, key)
-		} else {
-			m[key] = nw
-		}
-		if old <= 1 && nw >= 2 {
-			*dup++
-		} else if old >= 2 && nw <= 1 {
-			*dup--
-		}
-	}
-	bump(v.symCount, sym, &v.dupSyms)
-	bump(v.nameCount, string(analysis.VarName(sym)), &v.dupNames)
-}
+// countPath tracks variable-name multiplicity as paths come and go,
+// maintaining the degradation counter.
+func (v *DeltaVerifier) countPath(p Path, d int) { v.bumpName(string(varOf(p)), d) }
 
-// suspects mirrors Conversion.SuspectNodes over the mirrored constraints:
-// preference constraints implicate the ranking's owner, monotonicity
-// constraints the owner of the derived path.
-func (v *DeltaVerifier) suspects(core []analysis.Constraint) []Node {
-	seen := map[Node]bool{}
-	var out []Node
-	add := func(s algebra.Sig) {
-		n, found := v.ownerOfSym(s)
-		if found && !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
+func (v *DeltaVerifier) bumpName(name string, d int) {
+	old := v.nameCount[name]
+	nw := old + d
+	if nw == 0 {
+		delete(v.nameCount, name)
+	} else {
+		v.nameCount[name] = nw
 	}
-	for _, c := range core {
-		switch c.Kind {
-		case analysis.KindPreference:
-			add(c.Pref.A)
-		case analysis.KindMonotonicity:
-			add(c.Entry.Out)
-		}
+	if old <= 1 && nw >= 2 {
+		v.dupNames++
+	} else if old >= 2 && nw <= 1 {
+		v.dupNames--
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func (v *DeltaVerifier) ownerOfSym(s algebra.Sig) (Node, bool) {
-	for _, n := range v.in.Nodes {
-		for _, p := range v.in.Permitted[n] {
-			if algebra.Symbol(sigName(p)) == s {
-				return n, true
-			}
-		}
-	}
-	return "", false
 }
 
 // --- helpers ---

@@ -5,61 +5,20 @@ import (
 	"fmt"
 	"testing"
 
-	"fsr/internal/analysis"
+	"fsr/internal/smt"
 )
 
-// requireVerifyParity runs the delta path and the full-pipeline oracle on
-// the verifier's current instance and fails unless verdict, model, core,
-// constraint counts, and suspect nodes agree bit for bit (Stats excluded:
-// durations and graph sizes legitimately differ).
+// requireVerifyParity runs the delta path, VerifyFull, and the classic
+// test oracle on the verifier's current instance and fails unless all
+// three agree bit for bit.
 func requireVerifyParity(t *testing.T, label string, v *DeltaVerifier) {
 	t.Helper()
-	got, gotSus, gotErr := v.Verify(context.Background())
-	want, wantSus, wantErr := v.VerifyFull(context.Background())
-	if (gotErr != nil) != (wantErr != nil) {
-		t.Fatalf("%s: error mismatch: delta %v, oracle %v", label, gotErr, wantErr)
-	}
-	if gotErr != nil {
-		return
-	}
-	if got.Algebra != want.Algebra || got.Condition != want.Condition {
-		t.Fatalf("%s: header mismatch: (%s, %s) vs (%s, %s)",
-			label, got.Algebra, got.Condition, want.Algebra, want.Condition)
-	}
-	if got.Sat != want.Sat {
-		t.Fatalf("%s: Sat = %v, oracle %v", label, got.Sat, want.Sat)
-	}
-	if got.NumPreference != want.NumPreference || got.NumMonotonicity != want.NumMonotonicity {
-		t.Fatalf("%s: counts (%d pref, %d mono), oracle (%d, %d)",
-			label, got.NumPreference, got.NumMonotonicity, want.NumPreference, want.NumMonotonicity)
-	}
-	if len(got.Model) != len(want.Model) {
-		t.Fatalf("%s: model size %d, oracle %d\n got: %v\nwant: %v",
-			label, len(got.Model), len(want.Model), got.Model, want.Model)
-	}
-	for k, val := range want.Model {
-		if got.Model[k] != val {
-			t.Fatalf("%s: model[%s] = %d, oracle %d", label, k, got.Model[k], val)
-		}
-	}
-	if len(got.Core) != len(want.Core) {
-		t.Fatalf("%s: core size %d, oracle %d\n got: %v\nwant: %v",
-			label, len(got.Core), len(want.Core), got.Core, want.Core)
-	}
-	for i := range want.Core {
-		if got.Core[i] != want.Core[i] {
-			t.Fatalf("%s: Core[%d] = %v, oracle %v", label, i, got.Core[i], want.Core[i])
-		}
-	}
-	if len(gotSus) != len(wantSus) {
-		t.Fatalf("%s: suspects %v, oracle %v", label, gotSus, wantSus)
-	}
-	for i := range wantSus {
-		if gotSus[i] != wantSus[i] {
-			t.Fatalf("%s: suspects %v, oracle %v", label, gotSus, wantSus)
-		}
-	}
-	_ = analysis.StrictMonotonicity // keep the import obvious at a glance
+	ctx := context.Background()
+	want, wantSus, wantErr := classicAnalyze(ctx, v.in, smt.Native{})
+	got, gotSus, gotErr := v.Verify(ctx)
+	requireSameAnalysis(t, label+" (delta)", got, gotSus, gotErr, want, wantSus, wantErr)
+	full, fullSus, fullErr := v.VerifyFull(ctx)
+	requireSameAnalysis(t, label+" (full)", full, fullSus, fullErr, want, wantSus, wantErr)
 }
 
 // gadgetOp is one scripted edit in a table-driven parity sequence.
@@ -298,4 +257,65 @@ func TestDeltaVerifierDegraded(t *testing.T) {
 	if !res.Sat {
 		t.Fatal("recovered instance should be safe")
 	}
+}
+
+// TestDeltaVerifierSanitizeCollision: a sanitization collision ("o.1" vs
+// "o_1") degrades the verifier; Verify then runs the pipeline, which
+// suffixes the names exactly as the classic conversion does. Editing the
+// collision away recovers the incremental path on unsuffixed names.
+func TestDeltaVerifierSanitizeCollision(t *testing.T) {
+	in := NewInstance("sanitize-collision")
+	in.AddSession("x.y", "x_y", 0)
+	in.AddSession("x.y", "z", 0)
+	in.AddSession("x_y", "z", 0)
+	in.Rank("x.y", P("x.y", "o.1"))
+	in.Rank("x_y", P("x_y", "o_1"))
+	in.Rank("z", P("z", "x_y", "o_1"), P("z", "x.y", "o.1"))
+	v, err := NewDeltaVerifier(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.Degraded() {
+		t.Fatal("sanitization collision not detected")
+	}
+	requireVerifyParity(t, "collided", v)
+	if err := v.ReRank("x_y", P("x_y", "o2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.ReRank("z", P("z", "x_y", "o2"), P("z", "x.y", "o.1")); err != nil {
+		t.Fatal(err)
+	}
+	if v.Degraded() {
+		t.Fatal("collision removal did not clear degraded mode")
+	}
+	requireVerifyParity(t, "recovered", v)
+}
+
+// TestDeltaVerifierDuplicateSession: a repeated session fails to load with
+// the classic conversion's error (it used to load and answer a verdict
+// its own oracle could not reproduce), and a live verifier refuses to add
+// a link that repeats an existing link or its label.
+func TestDeltaVerifierDuplicateSession(t *testing.T) {
+	in := BadGadget()
+	in.AddSession("1", "2", 0)
+	_, wantErr := in.ToAlgebra()
+	if _, err := NewDeltaVerifier(in); err == nil || err.Error() != fmt.Sprint(wantErr) {
+		t.Fatalf("NewDeltaVerifier err=%v, want %v", err, wantErr)
+	}
+
+	clash := NewInstance("label-clash")
+	clash.AddSession("ab", "c", 0)
+	clash.Rank("ab", P("ab", "r1"))
+	clash.Rank("c", P("c", "ab", "r1"))
+	v, err := NewDeltaVerifier(clash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.AddSession("c", "ab", 0); err == nil {
+		t.Fatal("repeated session accepted")
+	}
+	if err := v.AddSession("a", "bc", 0); err == nil {
+		t.Fatal("session repeating link label l_abc accepted")
+	}
+	requireVerifyParity(t, "after rejections", v)
 }

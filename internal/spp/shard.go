@@ -1,35 +1,32 @@
-// Sharded constraint generation and the internet-scale analysis fast path.
+// The one SPP analysis pipeline: the interned instance view, sharded
+// constraint generation, and the dense SCC solve.
 //
-// ToAlgebra + analysis.Constraints is the fidelity path: it materializes
-// the full §III-B algebra and derives the §IV-B constraint system through
-// algebra.ConcatTable, which enumerates labels × signatures — O(n²) map
-// lookups that dominate everything else from a few thousand nodes up. But
-// the non-φ entries of that table are exactly the permitted extensions the
-// instance already states: for each directed link u→v, the permitted paths
-// q of v whose extension u·q is permitted at u, in rank order. The
-// DeltaVerifier's segment layout exploits this per-link view for
-// incremental re-verification; this file exploits it for scale — the
+// ToAlgebra + analysis.Constraints materializes the full §III-B algebra and
+// derives the §IV-B constraint system through algebra.ConcatTable, which
+// enumerates labels × signatures — O(n²) map lookups that dominate
+// everything else from a few thousand nodes up. But the non-φ entries of
+// that table are exactly the permitted extensions the instance already
+// states: for each directed link u→v, the permitted paths q of v whose
+// extension u·q is permitted at u, in rank order. buildShardPrep interns
+// that per-link view once (dense path ids, per-link extension matches,
+// per-path solver variables), and every SPP analysis runs on it: the
 // per-node preference segments (Nodes order) followed by the per-link
-// monotonicity segments (Links order) are emitted in parallel into one
-// preallocated array-of-struct buffer, element-for-element identical to
-// what the full pipeline generates, in O(paths + links·K²) instead of
-// O(links·paths).
+// monotonicity segments (Links order) are emitted in parallel,
+// element-for-element identical to what the full pipeline generates, in
+// O(paths + links·K²) instead of O(links·paths). The DeltaVerifier loads
+// its initial segments from the same view.
 //
-// On top of the sharded generator sits AnalyzeScale, the fast path
-// Session.AnalyzeSPP takes for large instances: permitted paths become
-// dense int32 ids (global rank order), the difference constraints go
-// straight to smt.SolveDense — no Origin strings, no interning, no
-// per-constraint provenance, not even the signature renderings (only the
-// sanitized solver variables, each fused into a single allocation) — and
-// the SCC-decomposed engine returns the canonical model, from which the
-// analysis.Result is materialized with exactly the variables, values, and
-// counts the classic path produces. Unsatisfiable instances re-solve
-// through the provenance path (sharded AoS constraints +
-// analysis.CheckPrepared), so minimized cores and §VI-B suspect sets stay
-// bit-identical too. Instances the compact naming scheme cannot represent
-// faithfully (duplicate solver-variable names, degenerate shapes) report
-// ok=false and the caller stays on the classic path, mirroring the
-// DeltaVerifier's degraded mode.
+// Analyze is the entry point. For the native engine it sends the
+// difference constraints straight to smt.SolveDense — no Origin strings,
+// no interning, no per-constraint provenance, not even the signature
+// renderings — and materializes the analysis.Result with exactly the
+// variables, values, and counts the classic path produces. Unsatisfiable
+// instances, and every other solver, go through the provenance buffer and
+// analysis.CheckPrepared, so minimized cores and §VI-B suspect sets stay
+// bit-identical too. Variable-name collisions and invalid instances are
+// decided here exactly as the classic path decides them; ToAlgebra
+// remains for callers that need the algebra itself (simulation,
+// deployment, the paper's experiments) and as the test oracle.
 
 package spp
 
@@ -37,8 +34,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
-	"sort"
 	"sync"
 	"time"
 	"unicode/utf8"
@@ -57,40 +52,21 @@ type linkMatch struct {
 	li, tq, fq int32
 }
 
-// shardPrep is the interned, densely indexed view of an instance the
-// sharded generator and the scale path share. Per-path state lives in flat
-// arrays indexed by global path id ((node, rank) order) rather than
-// per-node slices — at 10⁵ nodes the slice headers alone would dominate
-// allocation — and signature renderings are not materialized at all until
-// a provenance buffer asks for them.
+// shardPrep is the interned, densely indexed view of an instance. Per-path
+// state lives in flat arrays indexed by global path id ((node, rank)
+// order) rather than per-node slices — at 10⁵ nodes the slice headers
+// alone would dominate allocation — and signature renderings are not
+// materialized at all until a provenance buffer asks for them.
 type shardPrep struct {
 	in       *Instance
-	nodeIdx  map[Node]int32
 	perms    [][]Path // per node index: its permitted paths (shared, not copied)
 	linkEnds []int32  // per link: from-index, to-index (2 entries each; −1 undeclared)
 	pathOff  []int32  // global path-id base per node; id = pathOff[ni]+rank
 	nPaths   int
-	vars     []smt.Var // per path id: the sanitized solver variable
+	vars     []smt.Var // per path id: the sanitized solver variable, unsuffixed
 	prefOff  []int32   // per node: first preference-constraint index
 	matches  []linkMatch
-	// varOwner maps each solver variable name to its owning node index —
-	// the §VI-B suspect lookup, built lazily (only the unsat path reads
-	// it; the duplicate gate runs on sorted hashes instead).
-	varOwner map[string]int32
-	ok       bool
-}
-
-// ownerMap lazily builds the variable-name → owning-node index.
-func (p *shardPrep) ownerMap() map[string]int32 {
-	if p.varOwner == nil {
-		p.varOwner = make(map[string]int32, p.nPaths)
-		for ni := 0; ni < len(p.perms); ni++ {
-			for _, v := range p.vars[p.pathOff[ni]:p.pathOff[ni+1]] {
-				p.varOwner[string(v)] = int32(ni)
-			}
-		}
-	}
-	return p.varOwner
+	dupNames bool // some two paths share a sanitized variable name
 }
 
 func (p *shardPrep) totalPref() int32 { return p.prefOff[len(p.prefOff)-1] }
@@ -164,77 +140,49 @@ var cleanByte = func() (t [128]byte) {
 	return
 }()
 
-// appendClean appends s with every rune outside analysis.sanitize's
-// identifier-safe set replaced by '_'. ASCII bytes go through the lookup
-// table; a multi-byte (or invalid) rune collapses to a single '_',
-// matching sanitize's per-rune substitution.
-func appendClean(b []byte, s string) []byte {
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			b = append(b, cleanByte[c])
+// renderVar computes analysis.VarName(sigName(q)) — the sanitized solver
+// variable — in a single allocation: the rendering goes into the scratch
+// buffer (returned for reuse) and is sanitized in place, ASCII bytes
+// through the lookup table and each multi-byte (or invalid) rune
+// collapsing to a single '_', as sanitize substitutes per rune.
+func renderVar(buf []byte, q Path) (smt.Var, []byte) {
+	buf = appendSigName(buf[:0], q)
+	out := buf[:0]
+	for i := 0; i < len(buf); {
+		if c := buf[i]; c < utf8.RuneSelf {
+			out = append(out, cleanByte[c])
 			i++
 			continue
 		}
-		_, size := utf8.DecodeRuneInString(s[i:])
-		b = append(b, '_')
+		_, size := utf8.DecodeRune(buf[i:])
+		out = append(out, '_')
 		i += size
 	}
-	return b
+	if len(out) == 0 {
+		return "sig", buf // sanitize("") == "sig"
+	}
+	return smt.Var(out), buf
 }
 
-// renderVar computes analysis.VarName(sigName(q)) — the sanitized solver
-// variable — in a single allocation, fusing sigName's rendering (the bare
-// origin token for two-element paths, otherwise "r_" + the dot- or
-// butt-joined elements of Path.String) with sanitize's per-rune '_'
-// substitution. buf is a scratch buffer returned for reuse.
-func renderVar(buf []byte, q Path) (smt.Var, []byte) {
-	buf = buf[:0]
-	if len(q) == 2 {
-		buf = appendClean(buf, string(q[1]))
-		if len(buf) == 0 {
-			return "sig", buf // sanitize("") == "sig"
-		}
-		return smt.Var(buf), buf
-	}
-	single := true
-	for _, n := range q {
-		if len(n) > 1 && !isOrigin(n) {
-			single = false
-			break
-		}
-	}
-	buf = append(buf, 'r', '_')
-	for i, n := range q {
-		if i > 0 && !single {
-			buf = append(buf, '_') // the '.' join, post-sanitize
-		}
-		buf = appendClean(buf, string(n))
-	}
-	return smt.Var(buf), buf
-}
-
-// buildShardPrep validates the instance (sharded — the quadratic Validate
-// scans don't survive 100k nodes), interns every permitted path's solver
-// variable into the flat array, and collects the permitted-extension
-// matches in link order. A non-nil error is a structural validation
-// failure with Validate's message shapes; ok=false flags instances the
-// compact naming scheme cannot represent.
+// buildShardPrep indexes the instance, collects the permitted-extension
+// matches in link order, and validates it — Instance.Validate is this
+// function — proving most paths without a map lookup.
 func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 	nn := len(in.Nodes)
 	nl := len(in.Links)
 	p := &shardPrep{
 		in:       in,
-		nodeIdx:  make(map[Node]int32, nn),
 		perms:    make([][]Path, nn),
 		linkEnds: make([]int32, 2*nl),
 		pathOff:  make([]int32, nn+1),
 		prefOff:  make([]int32, nn+1),
 	}
+	nodeIdx := make(map[Node]int32, nn)
 	for i, n := range in.Nodes {
-		p.nodeIdx[n] = int32(i)
+		nodeIdx[n] = int32(i)
 	}
 	for n := range in.Permitted {
-		if _, ok := p.nodeIdx[n]; !ok {
+		if _, ok := nodeIdx[n]; !ok {
 			return nil, fmt.Errorf("spp %s: ranking for undeclared node %s", in.Name, n)
 		}
 	}
@@ -256,9 +204,9 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 	}
 	// One string-resolution pass over the links: index pairs for the match
 	// and fill loops. Links with undeclared endpoints can't be resolved and
-	// never produce matches; paths crossing them fall to the string-keyed
-	// validator below, where the "crosses undeclared node" error stays
-	// reachable exactly where Validate reports it.
+	// never produce matches; paths crossing them fall to validatePath
+	// below, where the "crosses undeclared node" error stays reachable
+	// exactly where Validate reports it.
 	// Sessions append both directions back to back, so the previous link's
 	// endpoints predict this one's — string equality on the shared backing
 	// array short-circuits before hashing.
@@ -272,7 +220,7 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 		if haveB && n == cacheB {
 			return cacheBi
 		}
-		id, ok := p.nodeIdx[n]
+		id, ok := nodeIdx[n]
 		if !ok {
 			id = -1
 		}
@@ -286,11 +234,14 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 
 	// Permitted-extension matches: one parallel pass, per-shard buffers
 	// concatenated in shard order. Shards are contiguous link ranges, so
-	// concatenation preserves the canonical link-order emission.
+	// concatenation preserves the canonical link-order emission. The label
+	// hashes for the duplicate-link screen ride along.
+	labels := make([]uint64, nl)
 	bufs := make([][]linkMatch, shardCount(nl, workers))
 	parShards(nl, workers, func(shard, lo, hi int) {
 		var buf []linkMatch
 		for li := lo; li < hi; li++ {
+			labels[li] = labelHash(in.Links[li])
 			fi, ti := p.linkEnds[2*li], p.linkEnds[2*li+1]
 			if fi < 0 || ti < 0 {
 				continue
@@ -325,8 +276,7 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 	// the match list therefore proves every extension-structured path
 	// without touching a map — and instances built by rank-and-extend (all
 	// generators, and anything GenerateInternet produces) have no other
-	// paths. Whatever is left unproven gets the string-keyed validator with
-	// Validate's exact per-path error messages.
+	// paths. Whatever is left unproven goes through validatePath.
 	valid := make([]bool, p.nPaths)
 	parShards(nn, workers, func(_, lo, hi int) {
 		for ni := lo; ni < hi; ni++ {
@@ -363,14 +313,19 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 					links[l] = true
 				}
 			}
-			if err := validatePath(in, in.Nodes[ni], q, origins, links, p.nodeIdx); err != nil {
+			if err := validatePath(in, in.Nodes[ni], q, origins, links, nodeIdx); err != nil {
 				return nil, err
 			}
 		}
 	}
+	return p, checkLabels(in, labels)
+}
 
-	// Solver-variable interning, sharded by node into the flat array. The
-	// duplicate-screen hash rides along while the bytes are hot.
+// internVars interns every permitted path's unsuffixed solver variable
+// into the flat array, sharded by node, and flags name collisions.
+func (p *shardPrep) internVars(workers int) {
+	nn := len(p.in.Nodes)
+	// The duplicate-screen hash rides along while the bytes are hot.
 	p.vars = make([]smt.Var, p.nPaths)
 	keys := make([]uint64, p.nPaths)
 	parShards(nn, workers, func(_, lo, hi int) {
@@ -380,71 +335,56 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 			for r, q := range p.perms[ni] {
 				id := base + int32(r)
 				p.vars[id], buf = renderVar(buf, q)
-				keys[id] = fnv64(p.vars[id])
+				keys[id] = fnvAppend(fnvOffset, string(p.vars[id]))
 			}
 		}
 	})
-
-	// Collision gate: a duplicated variable name — whether from equal
-	// renderings (the classic path errors on those) or a sanitization
-	// collision (the classic path suffixes them) — makes the compact
-	// naming ambiguous, and the classic path must decide the instance.
-	// Sorted 64-bit hashes screen for duplicates without a string map;
-	// only a hash collision pays for the exact check.
-	p.ok = nl > 0 && p.nPaths > 0
-	if p.ok {
-		slices.Sort(keys)
-		for i := 1; i < p.nPaths; i++ {
-			if keys[i] == keys[i-1] {
-				seen := make(map[string]struct{}, p.nPaths)
-				for _, v := range p.vars {
-					if _, dup := seen[string(v)]; dup {
-						p.ok = false
-						obsShardCollisions.Inc()
-						break
-					}
-					seen[string(v)] = struct{}{}
-				}
+	if hasRepeat(keys) {
+		seen := make(map[smt.Var]struct{}, p.nPaths)
+		for _, v := range p.vars {
+			if _, dup := seen[v]; dup {
+				p.dupNames = true
+				obsShardCollisions.Inc()
 				break
 			}
+			seen[v] = struct{}{}
 		}
 	}
-	return p, nil
 }
 
-// fnv64 is FNV-1a over the variable name — the duplicate screen's hash.
-func fnv64(v smt.Var) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(v); i++ {
-		h ^= uint64(v[i])
-		h *= 1099511628211
+// solverVars returns the per-path solver variables the full pipeline
+// assigns. Without name collisions they are the interned names. Otherwise
+// it decides the collision as ToAlgebra and analysis step 1 do: two paths
+// with equal renderings are ToAlgebra's duplicate-permitted-path error,
+// and sanitization collisions take newSigVars' _2, _3, … suffixes, handed
+// out in path-id order (the converted algebra's Sigs order).
+func (p *shardPrep) solverVars() ([]smt.Var, error) {
+	if !p.dupNames {
+		return p.vars, nil
 	}
-	return h
-}
-
-// validatePath is one path's structural check, map-backed but with
-// Validate's exact error messages.
-func validatePath(in *Instance, n Node, p Path, origins map[Node]bool, links map[Link]bool, nodeIdx map[Node]int32) error {
-	if len(p) < 2 {
-		return fmt.Errorf("spp %s: node %s: path %q too short", in.Name, n, p)
-	}
-	if p.Owner() != n {
-		return fmt.Errorf("spp %s: node %s: path %s not owned by node", in.Name, n, p)
-	}
-	if !origins[p[len(p)-1]] {
-		return fmt.Errorf("spp %s: node %s: path %s does not end in an origin token", in.Name, n, p)
-	}
-	for i := 0; i+2 < len(p); i++ {
-		if !links[Link{p[i], p[i+1]}] {
-			return fmt.Errorf("spp %s: node %s: path %s uses missing link %s→%s", in.Name, n, p, p[i], p[i+1])
+	rendered := make(map[string]struct{}, p.nPaths)
+	taken := make(map[smt.Var]struct{}, p.nPaths)
+	vars := make([]smt.Var, 0, p.nPaths)
+	for _, perm := range p.perms {
+		for _, q := range perm {
+			sym := sigName(q)
+			if _, dup := rendered[sym]; dup {
+				return nil, fmt.Errorf("spp %s: duplicate permitted path %s", p.in.Name, q)
+			}
+			rendered[sym] = struct{}{}
+			base := p.vars[len(vars)]
+			name := base
+			for i := 2; ; i++ {
+				if _, t := taken[name]; !t {
+					break
+				}
+				name = smt.Var(fmt.Sprintf("%s_%d", base, i))
+			}
+			taken[name] = struct{}{}
+			vars = append(vars, name)
 		}
 	}
-	for i := 1; i+1 < len(p); i++ {
-		if _, ok := nodeIdx[p[i]]; !ok {
-			return fmt.Errorf("spp %s: node %s: path %s crosses undeclared node %s", in.Name, n, p, p[i])
-		}
-	}
-	return nil
+	return vars, nil
 }
 
 // extensionRank returns the rank of the extension [from]+q in perm, or −1
@@ -487,11 +427,47 @@ func (p *shardPrep) renderSyms(workers int) []string {
 	return syms
 }
 
-// shardedConstraints fills the preallocated constraint buffer in parallel,
-// mirroring the DeltaVerifier's prefSeg/monoSeg emission — which is also
-// exactly the emission order of algebra.Preferences followed by
-// algebra.ConcatTable on the converted instance — element for element.
-func (p *shardPrep) shardedConstraints(workers int) []analysis.Constraint {
+// prefConstraint is the §IV-B preference constraint of two adjacent ranks:
+// path a (rendering symA, variable va) strictly preferred to path b. It
+// and monoConstraint are the only constructors of SPP constraints, shared
+// by the sharded generator and the DeltaVerifier's segments.
+func prefConstraint(symA, symB string, va, vb smt.Var) analysis.Constraint {
+	pair := algebra.PrefPair{A: algebra.Symbol(symA), B: algebra.Symbol(symB), Strict: true}
+	return analysis.Constraint{
+		Assertion: smt.Assertion{
+			Rel:    smt.Lt,
+			A:      smt.Term{Var: va},
+			B:      smt.Term{Var: vb},
+			Origin: "pref: " + pair.String(),
+		},
+		Kind: analysis.KindPreference,
+		Pref: pair,
+	}
+}
+
+// monoConstraint is the strict-monotonicity constraint of the ⊕ entry
+// lab ⊕ r_in = r_out: the extended path out must rank strictly below the
+// path in it extends.
+func monoConstraint(lab algebra.Label, symIn, symOut string, vin, vout smt.Var) analysis.Constraint {
+	entry := algebra.ConcatEntry{Label: lab, In: algebra.Symbol(symIn), Out: algebra.Symbol(symOut)}
+	return analysis.Constraint{
+		Assertion: smt.Assertion{
+			Rel:    smt.Lt,
+			A:      smt.Term{Var: vin},
+			B:      smt.Term{Var: vout},
+			Origin: "mono: " + entry.String(),
+		},
+		Kind:  analysis.KindMonotonicity,
+		Entry: entry,
+	}
+}
+
+// shardedConstraints fills the constraint buffer in parallel over the
+// given per-path variables: the per-node preference segments (Nodes
+// order) then the per-link monotonicity segments (Links order) — exactly
+// the emission order of algebra.Preferences followed by
+// algebra.ConcatTable on the converted instance, element for element.
+func (p *shardPrep) shardedConstraints(vars []smt.Var, workers int) []analysis.Constraint {
 	in := p.in
 	syms := p.renderSyms(workers)
 	totalPref := p.totalPref()
@@ -503,21 +479,7 @@ func (p *shardPrep) shardedConstraints(workers int) []analysis.Constraint {
 			out := cons[p.prefOff[ni]:p.prefOff[ni+1]]
 			for i := range out {
 				a, b := base+int32(i), base+int32(i)+1
-				pair := algebra.PrefPair{
-					A:      algebra.Symbol(syms[a]),
-					B:      algebra.Symbol(syms[b]),
-					Strict: true,
-				}
-				out[i] = analysis.Constraint{
-					Assertion: smt.Assertion{
-						Rel:    smt.Lt,
-						A:      smt.Term{Var: p.vars[a]},
-						B:      smt.Term{Var: p.vars[b]},
-						Origin: "pref: " + pair.String(),
-					},
-					Kind: analysis.KindPreference,
-					Pref: pair,
-				}
+				out[i] = prefConstraint(syms[a], syms[b], vars[a], vars[b])
 			}
 		}
 	})
@@ -526,24 +488,9 @@ func (p *shardPrep) shardedConstraints(workers int) []analysis.Constraint {
 	parShards(len(p.matches), workers, func(_, lo, hi int) {
 		for j := lo; j < hi; j++ {
 			m := p.matches[j]
-			l := in.Links[m.li]
 			a := p.pathOff[p.linkEnds[2*m.li+1]] + m.tq
 			b := p.pathOff[p.linkEnds[2*m.li]] + m.fq
-			entry := algebra.ConcatEntry{
-				Label: algebra.LSym("l_" + string(l.From) + string(l.To)),
-				In:    algebra.Symbol(syms[a]),
-				Out:   algebra.Symbol(syms[b]),
-			}
-			cons[totalPref+int32(j)] = analysis.Constraint{
-				Assertion: smt.Assertion{
-					Rel:    smt.Lt,
-					A:      smt.Term{Var: p.vars[a]},
-					B:      smt.Term{Var: p.vars[b]},
-					Origin: "mono: " + entry.String(),
-				},
-				Kind:  analysis.KindMonotonicity,
-				Entry: entry,
-			}
+			cons[totalPref+int32(j)] = monoConstraint(linkLabel(in.Links[m.li]), syms[a], syms[b], vars[a], vars[b])
 		}
 	})
 	timeEmit(obsEmitMono, monoStart)
@@ -553,18 +500,36 @@ func (p *shardPrep) shardedConstraints(workers int) []analysis.Constraint {
 // ShardedConstraints generates the instance's strict-monotonicity
 // constraint system in parallel: element-for-element identical (assertion,
 // origin, kind, provenance) to analysis.Constraints over in.ToAlgebra(),
-// without materializing the algebra. ok=false means the instance's
-// variable names collide (or the instance is degenerate) and the caller
-// must use the classic path; a non-nil error is a validation failure.
+// without materializing the algebra, and failing with ToAlgebra's error
+// where the conversion fails. ok is true whenever err is nil.
 func ShardedConstraints(in *Instance, workers int) ([]analysis.Constraint, bool, error) {
-	p, err := buildShardPrep(in, workers)
+	p, vars, err := prepare(in, workers)
 	if err != nil {
 		return nil, false, err
 	}
-	if !p.ok {
-		return nil, false, nil
+	return p.shardedConstraints(vars, workers), true, nil
+}
+
+// prepare builds the prep and decides everything ToAlgebra would reject:
+// structural validation, duplicate renderings, and the algebra builder's
+// degenerate shapes (no links means no labels, no paths no signatures).
+// It returns the per-path solver variables of the full pipeline.
+func prepare(in *Instance, workers int) (*shardPrep, []smt.Var, error) {
+	p, err := buildShardPrep(in, workers)
+	if err != nil {
+		return nil, nil, err
 	}
-	return p.shardedConstraints(workers), true, nil
+	p.internVars(workers)
+	vars, err := p.solverVars()
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case len(in.Links) == 0:
+		return nil, nil, fmt.Errorf("building algebra: algebra spp-%s: no labels declared", in.Name)
+	case p.nPaths == 0:
+		return nil, nil, fmt.Errorf("building algebra: algebra spp-%s: no signatures declared", in.Name)
+	}
+	return p, vars, nil
 }
 
 // denseConstraints emits the same constraint system as compact
@@ -606,57 +571,47 @@ func (p *shardPrep) denseConstraints(workers int) (cons []smt.DenseConstraint, a
 	return cons, appears
 }
 
-// suspects mirrors Conversion.SuspectNodes over the prep's owner map: the
-// owner of the less-preferred signature of each preference constraint and
-// of the extended signature of each monotonicity constraint, deduplicated
-// and sorted.
-func (p *shardPrep) suspects(core []analysis.Constraint) []Node {
-	seen := map[Node]bool{}
-	var out []Node
-	add := func(s algebra.Sig) {
-		sym, ok := s.(algebra.Symbol)
-		if !ok {
-			return
-		}
-		ni, found := p.ownerMap()[string(analysis.VarName(string(sym)))]
-		if !found {
-			return
-		}
-		n := p.in.Nodes[ni]
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
+// denseSolvable reports whether the solver's semantics are the ones the
+// dense SCC solve reproduces: the native difference-logic engine with
+// deletion-minimized cores (the decomposed backend is that same engine).
+func denseSolvable(solver smt.Solver) bool {
+	switch s := solver.(type) {
+	case smt.Native:
+		return !s.NoMinimize
+	case smt.Decomposed:
+		return !s.NoMinimize
 	}
-	for _, c := range core {
-		switch c.Kind {
-		case analysis.KindPreference:
-			add(c.Pref.A)
-		case analysis.KindMonotonicity:
-			add(c.Entry.Out)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return false
 }
 
-// AnalyzeScale is the large-instance analysis fast path: sharded
-// generation, dense encoding, and the SCC-decomposed solver, producing a
-// Result (and §VI-B suspect set) bit-identical to
-// analysis.CheckWith(in.ToAlgebra(), StrictMonotonicity) + SuspectNodes.
-// Satisfiable instances never materialize a provenance constraint or even
-// a signature rendering; unsatisfiable ones re-solve through the sharded
-// AoS buffer and analysis.CheckPrepared so minimized cores keep their
-// canonical order. ok=false (with nil error) means the instance needs the
-// classic path — structural validation failures are also reported that
-// way, so the classic path can raise its canonical error.
-func AnalyzeScale(ctx context.Context, in *Instance, workers int) (analysis.Result, []Node, bool, error) {
+// Analyze decides strict monotonicity of an SPP instance on solver (nil
+// means smt.Native{}): the one SPP analysis pipeline, behind
+// Session.AnalyzeSPP, DeltaVerifier.VerifyFull, and campaign evaluation.
+// The result — verdict, model, minimized core, constraint counts — and
+// the §VI-B suspect set are bit-identical to analysis.CheckWith over
+// in.ToAlgebra() on the same solver followed by Conversion.SuspectNodes,
+// and every instance ToAlgebra rejects fails here with the same error.
+//
+// It builds the interned instance view once, then solves one of two ways.
+// For the native engine with core minimization, the constraints go to the
+// SCC-decomposed dense solver as bare integer ids; a satisfiable instance
+// never materializes a provenance constraint or a signature rendering,
+// and an unsatisfiable one re-solves through the sharded constraints so
+// the minimized core keeps its canonical order. Every other solver gets
+// the sharded constraints through analysis.CheckPrepared directly.
+func Analyze(ctx context.Context, in *Instance, solver smt.Solver, workers int) (analysis.Result, []Node, error) {
+	if solver == nil {
+		solver = smt.Native{}
+	}
 	ctx, prepSpan := obs.StartSpan(ctx, "shard-prep")
-	p, err := buildShardPrep(in, workers)
+	p, vars, err := prepare(in, workers)
 	prepSpan.End()
-	if err != nil || !p.ok {
-		obsPathFallback.Inc()
-		return analysis.Result{}, nil, false, nil
+	if err != nil {
+		return analysis.Result{}, nil, err
+	}
+	if !denseSolvable(solver) {
+		obsPathSharded.Inc()
+		return p.check(ctx, vars, solver, workers)
 	}
 	ctx, emitSpan := obs.StartSpan(ctx, "dense-emit")
 	dense, appears := p.denseConstraints(workers)
@@ -668,45 +623,64 @@ func AnalyzeScale(ctx context.Context, in *Instance, workers int) (analysis.Resu
 	solveSpan.AttrInt("levels", int64(stats.Levels))
 	solveSpan.End()
 	if err != nil {
-		return analysis.Result{}, nil, false, err
+		return analysis.Result{}, nil, err
 	}
-	name := "spp-" + in.Name
-	if sat {
-		obsPathDense.Inc()
-		res := analysis.Result{
-			Algebra:         name,
-			Condition:       analysis.StrictMonotonicity,
-			Sat:             true,
-			NumPreference:   int(p.totalPref()),
-			NumMonotonicity: len(p.matches),
-			Stats:           stats,
+	if !sat {
+		obsPathResolve.Inc()
+		res, suspects, err := p.check(ctx, vars, solver, workers)
+		if err != nil {
+			return analysis.Result{}, nil, err
 		}
-		nVars := 0
-		res.Model = make(map[string]int, p.nPaths)
-		for id := 1; id <= p.nPaths; id++ {
-			if appears[id] {
-				res.Model[string(p.vars[id-1])] = model[id]
-				nVars++
-			}
-		}
-		// Classic interning only counts appearing variables; the dense
-		// solve saw every path id. Report the classic figures.
-		res.Stats.Variables = nVars
-		res.Stats.Edges = len(dense) + nVars
-		return res, nil, true, nil
+		res.Stats.Components = stats.Components
+		res.Stats.TrivialComponents = stats.TrivialComponents
+		res.Stats.Levels = stats.Levels
+		res.Stats.MaxLevelWidth = stats.MaxLevelWidth
+		res.Stats.TarjanDuration = stats.TarjanDuration
+		return res, suspects, nil
 	}
-	obsPathResolve.Inc()
-	ctx, resolveSpan := obs.StartSpan(ctx, "resolve-classic")
-	cons := p.shardedConstraints(workers)
-	res, err := analysis.CheckPrepared(ctx, name, analysis.StrictMonotonicity, cons, smt.Native{})
-	resolveSpan.End()
+	obsPathDense.Inc()
+	res := analysis.Result{
+		Algebra:         "spp-" + in.Name,
+		Condition:       analysis.StrictMonotonicity,
+		Sat:             true,
+		NumPreference:   int(p.totalPref()),
+		NumMonotonicity: len(p.matches),
+		Stats:           stats,
+	}
+	nVars := 0
+	res.Model = make(map[string]int, p.nPaths)
+	for id := 1; id <= p.nPaths; id++ {
+		if appears[id] {
+			res.Model[string(vars[id-1])] = model[id]
+			nVars++
+		}
+	}
+	// Classic interning only counts appearing variables; the dense solve
+	// saw every path id. Report the classic figures.
+	res.Stats.Variables = nVars
+	res.Stats.Edges = len(dense) + nVars
+	return res, nil, nil
+}
+
+// check decides the sharded constraint buffer on solver and maps an unsat
+// core to its suspects.
+func (p *shardPrep) check(ctx context.Context, vars []smt.Var, solver smt.Solver, workers int) (analysis.Result, []Node, error) {
+	_, emitSpan := obs.StartSpan(ctx, "sharded-emit")
+	cons := p.shardedConstraints(vars, workers)
+	emitSpan.End()
+	res, err := analysis.CheckPrepared(ctx, "spp-"+p.in.Name, analysis.StrictMonotonicity, cons, solver)
 	if err != nil {
-		return analysis.Result{}, nil, false, err
+		return analysis.Result{}, nil, err
 	}
-	res.Stats.Components = stats.Components
-	res.Stats.TrivialComponents = stats.TrivialComponents
-	res.Stats.Levels = stats.Levels
-	res.Stats.MaxLevelWidth = stats.MaxLevelWidth
-	res.Stats.TarjanDuration = stats.TarjanDuration
-	return res, p.suspects(res.Core), true, nil
+	if res.Sat {
+		return res, nil, nil
+	}
+	return res, suspectNodes(res.Core, p.in.coreOwners(res.Core)), nil
+}
+
+// AnalyzeScale is Analyze on the native engine, kept for callers of the
+// former large-instance entry point. ok is true whenever err is nil.
+func AnalyzeScale(ctx context.Context, in *Instance, workers int) (analysis.Result, []Node, bool, error) {
+	res, suspects, err := Analyze(ctx, in, smt.Native{}, workers)
+	return res, suspects, err == nil, err
 }

@@ -14,6 +14,7 @@ package spp
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -42,22 +43,24 @@ func P(nodes ...string) Path {
 
 // String renders the path the way the paper writes it: "aber2", except that
 // multi-character node names are joined with dots ("u1.u7.r2").
-func (p Path) String() string {
-	single := true
+func (p Path) String() string { return string(appendPath(nil, p)) }
+
+// appendPath appends p.String() to buf.
+func appendPath(buf []byte, p Path) []byte {
+	dots := false
 	for _, n := range p {
 		if len(n) > 1 && !isOrigin(n) {
-			single = false
+			dots = true
 			break
 		}
 	}
-	parts := make([]string, len(p))
 	for i, n := range p {
-		parts[i] = string(n)
+		if i > 0 && dots {
+			buf = append(buf, '.')
+		}
+		buf = append(buf, n...)
 	}
-	if single {
-		return strings.Join(parts, "")
-	}
-	return strings.Join(parts, ".")
+	return buf
 }
 
 // isOrigin reports whether the node looks like an origin token (r1, r2…);
@@ -199,44 +202,111 @@ func (in *Instance) isReal(n Node) bool {
 	return false
 }
 
-// Validate checks structural well-formedness: every permitted path is owned
-// by its node, terminates in an origin token, and walks existing links.
+// Validate checks structural well-formedness: every ranking belongs to a
+// declared node; every permitted path is owned by its node, terminates in
+// an origin token, and walks existing links among declared nodes; and no
+// two directed links share a §III-B label (a repeated link, or two links
+// whose endpoint names concatenate alike). It is the validation the SPP
+// pipeline runs (buildShardPrep), linear in the instance size.
 func (in *Instance) Validate() error {
-	for n, paths := range in.Permitted {
-		if !in.isReal(n) {
-			return fmt.Errorf("spp %s: ranking for undeclared node %s", in.Name, n)
+	_, err := buildShardPrep(in, 1)
+	return err
+}
+
+// validatePath is one permitted path's structural check.
+func validatePath(in *Instance, n Node, p Path, origins map[Node]bool, links map[Link]bool, nodeIdx map[Node]int32) error {
+	if len(p) < 2 {
+		return fmt.Errorf("spp %s: node %s: path %q too short", in.Name, n, p)
+	}
+	if p.Owner() != n {
+		return fmt.Errorf("spp %s: node %s: path %s not owned by node", in.Name, n, p)
+	}
+	if !origins[p[len(p)-1]] {
+		return fmt.Errorf("spp %s: node %s: path %s does not end in an origin token", in.Name, n, p)
+	}
+	for i := 0; i+2 < len(p); i++ { // hops among real nodes
+		if !links[Link{p[i], p[i+1]}] {
+			return fmt.Errorf("spp %s: node %s: path %s uses missing link %s→%s", in.Name, n, p, p[i], p[i+1])
 		}
-		for _, p := range paths {
-			if len(p) < 2 {
-				return fmt.Errorf("spp %s: node %s: path %q too short", in.Name, n, p)
-			}
-			if p.Owner() != n {
-				return fmt.Errorf("spp %s: node %s: path %s not owned by node", in.Name, n, p)
-			}
-			last := p[len(p)-1]
-			isOrig := false
-			for _, o := range in.Origins {
-				if o == last {
-					isOrig = true
-					break
-				}
-			}
-			if !isOrig {
-				return fmt.Errorf("spp %s: node %s: path %s does not end in an origin token", in.Name, n, p)
-			}
-			for i := 0; i+2 < len(p); i++ { // hops among real nodes
-				if !in.HasLink(p[i], p[i+1]) {
-					return fmt.Errorf("spp %s: node %s: path %s uses missing link %s→%s", in.Name, n, p, p[i], p[i+1])
-				}
-			}
-			for i := 1; i+1 < len(p); i++ {
-				if !in.isReal(p[i]) {
-					return fmt.Errorf("spp %s: node %s: path %s crosses undeclared node %s", in.Name, n, p, p[i])
-				}
-			}
+	}
+	for i := 1; i+1 < len(p); i++ {
+		if _, ok := nodeIdx[p[i]]; !ok {
+			return fmt.Errorf("spp %s: node %s: path %s crosses undeclared node %s", in.Name, n, p, p[i])
 		}
 	}
 	return nil
+}
+
+// linkLabel renders the §III-B label constant of a directed link.
+func linkLabel(l Link) algebra.Label { return algebra.LSym("l_" + string(l.From) + string(l.To)) }
+
+// sameLabel reports whether two links render the same label, without
+// building either rendering.
+func sameLabel(a, b Link) bool {
+	if len(a.From) > len(b.From) {
+		a, b = b, a
+	}
+	rest, ok := strings.CutPrefix(string(b.From), string(a.From))
+	return ok && strings.HasPrefix(string(a.To), rest) && string(a.To)[len(rest):] == string(b.To)
+}
+
+// labelHash is FNV-1a over a link's label rendering.
+func labelHash(l Link) uint64 {
+	return fnvAppend(fnvAppend(fnvOffset, string(l.From)), string(l.To))
+}
+
+// checkLabels reports the first directed link whose label repeats an
+// earlier link's. Labels are screened by their 64-bit hashes (labelHash
+// per link); only a repeated hash pays for the exact check.
+func checkLabels(in *Instance, hashes []uint64) error {
+	if !hasRepeat(hashes) {
+		return nil
+	}
+	seen := make(map[string]struct{}, len(in.Links))
+	for _, l := range in.Links {
+		lab := string(l.From) + string(l.To)
+		if _, dup := seen[lab]; dup {
+			return fmt.Errorf("spp %s: duplicate link %s", in.Name, l)
+		}
+		seen[lab] = struct{}{}
+	}
+	return nil
+}
+
+const fnvOffset = uint64(14695981039346656037)
+
+// fnvAppend folds s into an FNV-1a hash.
+func fnvAppend(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// hasRepeat screens hashes for a repeated value through an open-addressing
+// table: linear time, one allocation, no map. The low bit is forced on so
+// that 0 can mark empty slots; a screen may report a false repeat, never
+// miss a true one.
+func hasRepeat(keys []uint64) bool {
+	size := 1
+	for size < 2*len(keys) {
+		size <<= 1
+	}
+	shift := 64 - bits.Len(uint(size-1))
+	table := make([]uint64, size)
+	for _, k := range keys {
+		k |= 1
+		i := int((k * 0x9E3779B97F4A7C15) >> shift)
+		for table[i] != 0 {
+			if table[i] == k {
+				return true
+			}
+			i = (i + 1) & (size - 1)
+		}
+		table[i] = k
+	}
+	return false
 }
 
 // permitted reports whether path p is in the owner's ranked list.
@@ -270,11 +340,14 @@ type Conversion struct {
 
 // sigName renders the paper's signature naming: the egress path [d, r1] is
 // written r1; longer paths aber2 become r_aber2.
-func sigName(p Path) string {
+func sigName(p Path) string { return string(appendSigName(nil, p)) }
+
+// appendSigName appends sigName(p) to buf.
+func appendSigName(buf []byte, p Path) []byte {
 	if len(p) == 2 {
-		return string(p[1])
+		return append(buf, p[1]...)
 	}
-	return "r_" + p.String()
+	return appendPath(append(buf, 'r', '_'), p)
 }
 
 // ToAlgebra converts the instance to a routing algebra following §III-B:
@@ -304,10 +377,7 @@ func (in *Instance) ToAlgebra() (*Conversion, error) {
 	// Labels: one constant per directed link.
 	var labels []algebra.Label
 	for _, l := range in.Links {
-		lab := algebra.LSym("l_" + string(l.From) + string(l.To))
-		if _, dup := conv.LinkOf[lab]; dup {
-			return nil, fmt.Errorf("spp %s: duplicate link %s", in.Name, l)
-		}
+		lab := linkLabel(l) // distinct per link: Validate rejects repeats
 		conv.LabelOf[l] = lab
 		conv.LinkOf[lab] = l
 		labels = append(labels, lab)
@@ -349,11 +419,7 @@ func (in *Instance) ToAlgebra() (*Conversion, error) {
 			if !in.permitted(tail) {
 				continue // tail not permitted: path can never be realized
 			}
-			lab := conv.LabelOf[Link{p[0], p[1]}]
-			if lab == nil {
-				return nil, fmt.Errorf("spp %s: path %s uses missing link %s→%s", in.Name, p, p[0], p[1])
-			}
-			b.Concat(lab, conv.SigOf[tail.Key()], conv.SigOf[p.Key()])
+			b.Concat(conv.LabelOf[Link{p[0], p[1]}], conv.SigOf[tail.Key()], conv.SigOf[p.Key()])
 		}
 	}
 
@@ -400,13 +466,20 @@ func (c *Conversion) OwnerOfSig(s algebra.Sig) (Node, bool) {
 
 // SuspectNodes maps an unsat core back to the nodes whose configuration the
 // violating constraints mention — the §VI-B "hint" pointing operators at the
-// routers to fix. Preference constraints implicate the ranking's owner;
-// monotonicity constraints implicate the owner of the derived path.
+// routers to fix.
 func (c *Conversion) SuspectNodes(core []analysis.Constraint) []Node {
+	return suspectNodes(core, c.OwnerOfSig)
+}
+
+// suspectNodes is the one §VI-B suspect mapping: preference constraints
+// implicate the ranking's owner, monotonicity constraints the owner of the
+// derived path. owner resolves a signature to its owning node. The result
+// is deduplicated and sorted.
+func suspectNodes(core []analysis.Constraint, owner func(algebra.Sig) (Node, bool)) []Node {
 	seen := map[Node]bool{}
 	var out []Node
 	add := func(s algebra.Sig) {
-		if n, found := c.OwnerOfSig(s); found && !seen[n] {
+		if n, found := owner(s); found && !seen[n] {
 			seen[n] = true
 			out = append(out, n)
 		}
@@ -421,4 +494,37 @@ func (c *Conversion) SuspectNodes(core []analysis.Constraint) []Node {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// coreOwners resolves the signatures a core mentions to their owning
+// nodes with one allocation-free scan over the permitted paths — the
+// owner lookup for pipelines that hold no Conversion.
+func (in *Instance) coreOwners(core []analysis.Constraint) func(algebra.Sig) (Node, bool) {
+	owners := make(map[string]Node, 2*len(core))
+	for _, c := range core {
+		switch c.Kind {
+		case analysis.KindPreference:
+			owners[c.Pref.A.String()] = ""
+		case analysis.KindMonotonicity:
+			owners[c.Entry.Out.String()] = ""
+		}
+	}
+	left := len(owners)
+	var buf []byte
+	for _, n := range in.Nodes {
+		for _, p := range in.Permitted[n] {
+			if left == 0 {
+				break
+			}
+			buf = appendSigName(buf[:0], p)
+			if o, want := owners[string(buf)]; want && o == "" {
+				owners[string(buf)] = n
+				left--
+			}
+		}
+	}
+	return func(s algebra.Sig) (Node, bool) {
+		n := owners[s.String()]
+		return n, n != ""
+	}
 }

@@ -234,28 +234,21 @@ func (s *Session) CheckMonotonicity(ctx context.Context, a Algebra) (AnalysisRes
 	return analysis.CheckWith(ctx, a, analysis.Monotonicity, s.solver)
 }
 
-// scaleThreshold is the node count above which AnalyzeSPP prefers the
-// sharded internet-scale path: below it the classic pipeline is already
-// sub-millisecond and its extra diagnostics (full algebra object,
-// origination maps) come free.
-const scaleThreshold = 512
-
-// AnalyzeSPP converts and checks an SPP instance in one step, returning the
-// analysis result and the suspect nodes implicated by the core (empty when
-// sat).
-//
-// Large instances (≥512 nodes) take the internet-scale fast path when the
-// configured solver semantics permit it (the default native backend or the
-// SCC-decomposed one, with core minimization on): sharded constraint
-// generation, dense encoding, and the SCC-decomposed engine, with results
-// bit-identical to the classic pipeline. Instances the compact path cannot
-// represent fall through to the classic pipeline transparently.
+// AnalyzeSPP decides safety of an SPP instance in one step on the
+// session's solver, returning the analysis result and the suspect nodes
+// implicated by the core (empty when sat). It runs the one SPP pipeline
+// (spp.Analyze) at every size: the instance is interned once, constraints
+// are generated in parallel over WithParallelism workers, and the native
+// backends solve them as a dense, SCC-decomposed integer system. Results
+// are bit-identical to converting the instance with ConvertSPP and
+// checking the algebra with CheckStrictMonotonicity, and invalid instances
+// fail with the conversion's error.
 func (s *Session) AnalyzeSPP(ctx context.Context, in *SPPInstance) (AnalysisResult, []SPPNode, error) {
 	ctx, op := obs.Flight().StartOp(ctx, "analyze-spp", in.Name)
 	op.SetSize(len(in.Nodes))
 	ctx, sp := obs.StartSpan(ctx, "analyze-spp")
 	sp.AttrInt("nodes", int64(len(in.Nodes)))
-	res, suspects, err := s.analyzeSPP(ctx, in, sp)
+	res, suspects, err := spp.Analyze(ctx, in, s.solver, s.parallelism)
 	sp.End()
 	if op != nil {
 		switch {
@@ -277,51 +270,14 @@ func (s *Session) AnalyzeSPP(ctx context.Context, in *SPPInstance) (AnalysisResu
 	return res, suspects, err
 }
 
-// analyzeSPP is AnalyzeSPP's body, split out so the instrumentation
-// wrapper observes exactly one return path.
-func (s *Session) analyzeSPP(ctx context.Context, in *SPPInstance, sp *obs.Span) (AnalysisResult, []SPPNode, error) {
-	if len(in.Nodes) >= scaleThreshold && scaleEligible(s.solver) {
-		res, suspects, ok, err := spp.AnalyzeScale(ctx, in, s.parallelism)
-		if err != nil {
-			return AnalysisResult{}, nil, err
-		}
-		if ok {
-			sp.Attr("path", "scale")
-			return res, suspects, nil
-		}
-	}
-	sp.Attr("path", "classic")
-	conv, err := in.ToAlgebra()
-	if err != nil {
-		return AnalysisResult{}, nil, err
-	}
-	res, err := analysis.CheckWith(ctx, conv.Algebra, analysis.StrictMonotonicity, s.solver)
-	if err != nil {
-		return AnalysisResult{}, nil, err
-	}
-	return res, conv.SuspectNodes(res.Core), nil
-}
-
-// scaleEligible reports whether the configured solver's semantics are the
-// ones the scale path reproduces (native difference-logic engine with
-// deletion-minimized cores; the decomposed backend is that same engine).
-func scaleEligible(solver smt.Solver) bool {
-	switch s := solver.(type) {
-	case smt.Native:
-		return !s.NoMinimize
-	case smt.Decomposed:
-		return !s.NoMinimize
-	}
-	return false
-}
-
 // OpenDeltaVerifier loads an SPP instance into a resident incremental
 // verifier. The verifier deep-copies the instance, builds the safety
 // constraint system once, and then re-verifies edits (ReRank, AddSession,
 // DropSession) by patching the standing difference-logic graph and
 // re-probing only the affected region — the daemon-mode counterpart of
 // AnalyzeSPP. Verdicts, models, and minimal cores are bit-for-bit
-// identical to a full rebuild (VerifyFull is the differential oracle).
+// identical to a full rebuild: VerifyFull is the differential oracle,
+// deciding the current instance afresh on AnalyzeSPP's pipeline.
 // A DeltaVerifier is single-goroutine; concurrent use needs external
 // locking or per-caller Clone.
 func (s *Session) OpenDeltaVerifier(in *SPPInstance) (*DeltaVerifier, error) {

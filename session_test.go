@@ -401,25 +401,6 @@ func TestBuiltinLookups(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappers: the pre-Session free functions still work via the
-// default session, so existing callers keep compiling and running.
-func TestDeprecatedWrappers(t *testing.T) {
-	rep, err := AnalyzeSafety(GaoRexfordSafe())
-	if err != nil || rep.Verdict != Safe {
-		t.Fatalf("AnalyzeSafety wrapper: %v %v", rep.Verdict, err)
-	}
-	if _, err := CompileNDlog(GaoRexfordA()); err != nil {
-		t.Fatalf("CompileNDlog wrapper: %v", err)
-	}
-	if _, err := YicesEncoding(GaoRexfordA()); err != nil {
-		t.Fatalf("YicesEncoding wrapper: %v", err)
-	}
-	res, suspects, err := AnalyzeSPP(Figure3IBGP())
-	if err != nil || res.Sat || len(suspects) == 0 {
-		t.Fatalf("AnalyzeSPP wrapper: sat=%v suspects=%v err=%v", res.Sat, suspects, err)
-	}
-}
-
 // TestSessionConcurrentUse: one session drives analyses and runs from many
 // goroutines at once (run with -race).
 func TestSessionConcurrentUse(t *testing.T) {
