@@ -104,7 +104,8 @@ func BenchmarkStageConvert(b *testing.B) {
 
 // BenchmarkStageExecute measures one protocol execution to convergence per
 // simulation runner backend (the TCP backend is wall-clock-bound and
-// excluded from the stage series).
+// excluded from the stage series), and one compiled-simulator execution of
+// a campaign-sized scenario per kind (runner=sim/kind=…).
 func BenchmarkStageExecute(b *testing.B) {
 	ctx := context.Background()
 	for _, runner := range []RunnerBackend{SimulationRunner(), NDlogRunner()} {
@@ -119,6 +120,32 @@ func BenchmarkStageExecute(b *testing.B) {
 				rep, err := sess.Run(ctx, Figure3IBGPFixed())
 				if err != nil || !rep.Converged {
 					b.Fatalf("run failed: converged=%v err=%v", rep != nil && rep.Converged, err)
+				}
+			}
+		})
+	}
+
+	// Campaign-sized cases: one generated scenario per kind, executed on the
+	// compiled simulator with a campaign's options (seed, 5 s horizon, the
+	// scenario's fault plan). Generation and conversion stay outside the
+	// timer.
+	for _, kind := range scenario.Kinds() {
+		b.Run("runner=sim/kind="+string(kind), func(b *testing.B) {
+			const seed = 1
+			sc, err := scenario.Generate(kind, seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			conv, err := sc.Instance.ToAlgebra()
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts := enginepkg.RunOptions{Seed: seed, Horizon: 5 * time.Second, Plan: sc.Plan}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := (enginepkg.SimRunner{}).Run(ctx, conv, opts); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

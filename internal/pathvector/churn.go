@@ -25,13 +25,13 @@ var (
 
 // Reset implements simnet.Resetter: clear all protocol state, as a router
 // losing its RIB on restart. Configuration (including an origination
-// disable from SetOriginationsEnabled, which models a config change) and
-// the cumulative selection-change counters survive.
+// disable from SetOriginationsEnabled, which models a config change), the
+// interned neighbour slots, and the cumulative selection-change counters
+// survive.
 func (n *Node) Reset() {
-	n.routes = map[simnet.NodeID]map[simnet.NodeID]Route{}
-	n.best = map[simnet.NodeID]Route{}
-	n.advertised = map[simnet.NodeID]map[simnet.NodeID]string{}
-	n.dirty = map[simnet.NodeID]bool{}
+	n.dests = map[simnet.NodeID]*destRIB{}
+	n.destOrder = nil
+	n.dirty = nil
 	n.flushScheduled = false
 	n.started = false
 }
@@ -40,21 +40,23 @@ func (n *Node) Reset() {
 // every candidate learned from it is invalid (BGP session teardown,
 // RFC 4271 §6.7: delete all routes from the peer).
 func (n *Node) LinkDown(env simnet.Env, nb simnet.NodeID) {
-	for _, dest := range sortedNeighbors(n.routes) {
-		n.dropCandidate(env, dest, nb)
+	slot := n.slotOf[nb] // unused before interning: destOrder is empty
+	for _, d := range n.destOrder {
+		n.dropCandidate(env, d.dest, slot)
 	}
 }
 
 // LinkUp implements simnet.LinkObserver: the session to nb is back. Forget
-// the Adj-RIB-Out bookkeeping for it and mark every selected destination
+// the Adj-RIB-Out entries for it and mark every selected destination
 // dirty so the next flush re-advertises the full table to the rejoined
 // peer (duplicate suppression keeps the other neighbors quiet).
 func (n *Node) LinkUp(env simnet.Env, nb simnet.NodeID) {
-	for _, dest := range sortedNeighbors(n.advertised) {
-		delete(n.advertised[dest], nb)
-	}
-	for _, dest := range sortedNeighbors(n.best) {
-		n.dirty[dest] = true
+	slot := n.slotOf[nb] // unused before interning: destOrder is empty
+	for _, d := range n.destOrder {
+		d.out[slot] = Advert{}
+		if d.hasBest {
+			n.markDirty(d)
+		}
 	}
 	if len(n.dirty) > 0 {
 		n.scheduleFlush(env)
@@ -73,14 +75,12 @@ func (n *Node) SetOriginationsEnabled(env simnet.Env, on bool) {
 	if !n.started {
 		return // Start (or the restart re-Start) honors origsOff.
 	}
-	self := env.Self()
+	self := n.selfSlot()
 	for _, rt := range n.cfg.Originations {
 		if on {
-			if n.routes[rt.Dest] == nil {
-				n.routes[rt.Dest] = map[simnet.NodeID]Route{}
-			}
-			n.routes[rt.Dest][self] = rt
-			n.reselect(env, rt.Dest)
+			d := n.dest(rt.Dest)
+			d.cands[self], d.has[self] = rt, true
+			n.reselect(env, d)
 		} else {
 			n.dropCandidate(env, rt.Dest, self)
 		}

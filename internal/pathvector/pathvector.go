@@ -22,10 +22,19 @@
 // ⊕I and ⊕P over the label of its own link U→V; the *exporter* U sending to
 // N evaluates ⊕E over the label of U→N. This is the self-consistent reading
 // of the paper's §III-A operators (see DESIGN.md).
+//
+// State layout: a Node interns its neighbours into slots once, and keeps
+// per destination one record per slot — the candidate (gpvStore) and the
+// Adj-RIB-Out entry (what gpvSend last sent that neighbour) — so the
+// per-message path indexes slices and compares adverts field by field
+// instead of hashing string keys. Only node-local state is slot-indexed:
+// on the wire, adverts carry signatures as SigKey strings.
 package pathvector
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"fsr/internal/algebra"
@@ -107,18 +116,32 @@ type Config struct {
 
 // Node is a GPV protocol instance attached to one simnet node. Create with
 // NewNode; one Node per network node.
+//
+// Route state is kept in neighbour slots, interned on first contact with
+// the platform: slot i < len(slots)-1 is env.Neighbors()[i], and the last
+// slot is the node itself, which holds its originations. reselect folds
+// the candidates in NodeID order (fold), not slot order: the result of the
+// fold depends on its order whenever ⪯ is only a partial order, and NodeID
+// order keeps the selection independent of the order links were connected
+// in.
 type Node struct {
 	cfg Config
-	// routes[dest][neighbor] is the candidate learned from neighbor.
-	routes map[simnet.NodeID]map[simnet.NodeID]Route
-	// best[dest] is the current selection.
-	best map[simnet.NodeID]Route
-	// advertised[dest][neighbor] records what we last sent (implicit-
-	// withdraw bookkeeping).
-	advertised map[simnet.NodeID]map[simnet.NodeID]string
-	// dirty marks destinations whose selection changed since the last
+	// slots are the neighbours in env.Neighbors() order, then self;
+	// slotOf inverts it. fold lists slot indices sorted by NodeID.
+	slots  []simnet.NodeID
+	slotOf map[simnet.NodeID]int
+	fold   []int
+	// labels[i] is Label(self, slots[i]): the receiver-side label for
+	// imports from, and the exporter-side label for exports to, neighbour i.
+	// It is resolved on first use, so Label is asked only for directions
+	// the protocol uses (an SPP conversion labels declared links only).
+	labels []algebra.Label
+	// dests holds per-destination state, also listed in creation order.
+	dests     map[simnet.NodeID]*destRIB
+	destOrder []*destRIB
+	// dirty lists destinations whose selection changed since the last
 	// flush.
-	dirty map[simnet.NodeID]bool
+	dirty []*destRIB
 	// flushScheduled guards the batch timer.
 	flushScheduled bool
 	started        bool
@@ -132,6 +155,23 @@ type Node struct {
 	lastChange time.Duration
 }
 
+// destRIB is one destination's state: the selection, and three slices
+// indexed by slot. cands[i] is the candidate learned from slot i
+// (gpvStore), present when has[i]. out[i] is the Adj-RIB-Out entry for
+// neighbour slot i, the advert last sent to it; a zero entry (nil Path)
+// means none is outstanding — never sent, or withdrawn, which behave alike
+// since a withdraw is owed only after an advert. Entries are compared
+// field by field (sameAdvert), so de-duplicating sends builds no string.
+type destRIB struct {
+	dest    simnet.NodeID
+	best    Route
+	hasBest bool
+	dirty   bool
+	cands   []Route
+	has     []bool
+	out     []Advert
+}
+
 var _ simnet.Handler = (*Node)(nil)
 
 // NewNode builds a GPV node from the configuration.
@@ -140,38 +180,91 @@ func NewNode(cfg Config) *Node {
 		codec := NewSigCodec(cfg.Algebra)
 		cfg.SigFromKey = codec.FromKey
 	}
-	return &Node{
-		cfg:        cfg,
-		routes:     map[simnet.NodeID]map[simnet.NodeID]Route{},
-		best:       map[simnet.NodeID]Route{},
-		advertised: map[simnet.NodeID]map[simnet.NodeID]string{},
-		dirty:      map[simnet.NodeID]bool{},
-	}
+	return &Node{cfg: cfg, dests: map[simnet.NodeID]*destRIB{}}
 }
 
 // Best returns the node's current selection for dest.
 func (n *Node) Best(dest simnet.NodeID) (Route, bool) {
-	r, ok := n.best[dest]
-	return r, ok
+	if d := n.dests[dest]; d != nil && d.hasBest {
+		return d.best, true
+	}
+	return Route{}, false
 }
 
 // Routes returns the number of destinations with a selected route.
-func (n *Node) Routes() int { return len(n.best) }
+func (n *Node) Routes() int {
+	count := 0
+	for _, d := range n.destOrder {
+		if d.hasBest {
+			count++
+		}
+	}
+	return count
+}
+
+// intern builds the slot tables from the node's adjacency, once. Both Start
+// and Receive call it: on the TCP platform a neighbour's advert can arrive
+// before this node's Start runs.
+func (n *Node) intern(env simnet.Env) {
+	if n.slotOf != nil {
+		return
+	}
+	nbs := env.Neighbors()
+	n.slots = append(append(make([]simnet.NodeID, 0, len(nbs)+1), nbs...), env.Self())
+	n.slotOf = make(map[simnet.NodeID]int, len(n.slots))
+	n.fold = make([]int, len(n.slots))
+	for i, id := range n.slots {
+		n.slotOf[id] = i
+		n.fold[i] = i
+	}
+	slices.SortFunc(n.fold, func(a, b int) int { return cmp.Compare(n.slots[a], n.slots[b]) })
+	n.labels = make([]algebra.Label, len(nbs))
+}
+
+// selfSlot is the slot holding the node's own originations.
+func (n *Node) selfSlot() int { return len(n.slots) - 1 }
+
+// label returns Label(self, slots[i]) for a neighbour slot.
+func (n *Node) label(i int) algebra.Label {
+	if n.labels[i] == nil {
+		n.labels[i] = n.cfg.Label(n.slots[n.selfSlot()], n.slots[i])
+	}
+	return n.labels[i]
+}
+
+// dest returns the destination's state, creating it on first use.
+func (n *Node) dest(id simnet.NodeID) *destRIB {
+	d := n.dests[id]
+	if d == nil {
+		k := len(n.slots)
+		d = &destRIB{dest: id, cands: make([]Route, k), has: make([]bool, k), out: make([]Advert, k-1)}
+		n.dests[id] = d
+		n.destOrder = append(n.destOrder, d)
+	}
+	return d
+}
 
 // Start implements simnet.Handler: inject originations and self-origination.
 func (n *Node) Start(env simnet.Env) {
+	n.intern(env)
 	start := func() {
 		n.started = true
 		if !n.origsOff {
 			for _, rt := range n.cfg.Originations {
-				n.routes[rt.Dest] = map[simnet.NodeID]Route{env.Self(): rt}
-				n.reselect(env, rt.Dest)
+				// An origination replaces whatever the destination had
+				// learned before the node started.
+				d := n.dest(rt.Dest)
+				clear(d.cands)
+				clear(d.has)
+				d.cands[n.selfSlot()], d.has[n.selfSlot()] = rt, true
+				n.reselect(env, d)
 			}
 		}
 		if n.cfg.SelfOriginate {
 			self := env.Self()
-			n.best[self] = Route{Dest: self, Path: []simnet.NodeID{self}}
-			n.dirty[self] = true
+			d := n.dest(self)
+			d.best, d.hasBest = Route{Dest: self, Path: []simnet.NodeID{self}}, true
+			n.markDirty(d)
 			n.scheduleFlush(env)
 		}
 	}
@@ -185,17 +278,22 @@ func (n *Node) Start(env simnet.Env) {
 
 // Receive implements simnet.Handler: the gpvRecv rule.
 func (n *Node) Receive(env simnet.Env, from simnet.NodeID, payload any) {
+	n.intern(env)
+	slot, ok := n.slotOf[from]
+	if !ok {
+		panic(fmt.Sprintf("pathvector: %s received from non-neighbor %s", env.Self(), from))
+	}
 	switch m := payload.(type) {
 	case Advert:
-		n.receiveAdvert(env, from, m)
+		n.receiveAdvert(env, slot, m)
 	case Withdraw:
-		n.receiveWithdraw(env, from, m)
+		n.dropCandidate(env, m.Dest, slot)
 	default:
 		panic(fmt.Sprintf("pathvector: unexpected payload %T", payload))
 	}
 }
 
-func (n *Node) receiveAdvert(env simnet.Env, from simnet.NodeID, adv Advert) {
+func (n *Node) receiveAdvert(env simnet.Env, from int, adv Advert) {
 	self := env.Self()
 	// Path-vector loop prevention: reject adverts already containing us. A
 	// rejected advert still implicitly withdraws the neighbor's previous
@@ -206,7 +304,7 @@ func (n *Node) receiveAdvert(env simnet.Env, from simnet.NodeID, adv Advert) {
 			return
 		}
 	}
-	l := n.cfg.Label(self, from) // receiver-side label for link U→V
+	l := n.label(from) // receiver-side label for link U→V
 	var sig algebra.Sig
 	if adv.Origination {
 		// One-hop route: signature from the origination set (§V-B step 4).
@@ -242,23 +340,16 @@ func (n *Node) receiveAdvert(env simnet.Env, from simnet.NodeID, adv Advert) {
 	}
 	// gpvStore with (dest, neighbor) keying: implicit withdraw of the
 	// neighbor's previous advertisement.
-	if n.routes[adv.Dest] == nil {
-		n.routes[adv.Dest] = map[simnet.NodeID]Route{}
-	}
-	n.routes[adv.Dest][from] = rt
-	n.reselect(env, adv.Dest)
+	d := n.dest(adv.Dest)
+	d.cands[from], d.has[from] = rt, true
+	n.reselect(env, d)
 }
 
-func (n *Node) receiveWithdraw(env simnet.Env, from simnet.NodeID, w Withdraw) {
-	n.dropCandidate(env, w.Dest, from)
-}
-
-func (n *Node) dropCandidate(env simnet.Env, dest, from simnet.NodeID) {
-	if cands := n.routes[dest]; cands != nil {
-		if _, had := cands[from]; had {
-			delete(cands, from)
-			n.reselect(env, dest)
-		}
+// dropCandidate removes the candidate slot holds for dest, if any.
+func (n *Node) dropCandidate(env simnet.Env, dest simnet.NodeID, slot int) {
+	if d := n.dests[dest]; d != nil && d.has[slot] {
+		d.cands[slot], d.has[slot] = Route{}, false
+		n.reselect(env, d)
 	}
 }
 
@@ -266,35 +357,33 @@ func (n *Node) dropCandidate(env simnet.Env, dest, from simnet.NodeID) {
 // Ties (equally preferred or unordered signatures) break deterministically
 // toward the shorter path, then the lexicographically smaller one — the
 // stand-in for BGP's final tie-breakers, which the algebra leaves open.
-func (n *Node) reselect(env simnet.Env, dest simnet.NodeID) {
+func (n *Node) reselect(env simnet.Env, d *destRIB) {
 	var best Route
 	hasBest := false
-	cands := n.routes[dest]
-	for _, nb := range sortedNeighbors(cands) {
-		rt := cands[nb]
-		if !hasBest {
-			best, hasBest = rt, true
-			continue
-		}
-		if better(n.cfg.Algebra, rt, best) {
-			best = rt
+	for _, i := range n.fold {
+		if d.has[i] && (!hasBest || better(n.cfg.Algebra, d.cands[i], best)) {
+			best, hasBest = d.cands[i], true
 		}
 	}
-	prev, had := n.best[dest]
 	switch {
-	case !hasBest && !had:
+	case !hasBest && !d.hasBest:
 		return
-	case hasBest && had && prev.Sig == best.Sig && pathEqual(prev.Path, best.Path):
+	case hasBest && d.hasBest && d.best.Sig == best.Sig && pathEqual(d.best.Path, best.Path):
 		return
-	case hasBest:
-		n.best[dest] = best
-	default:
-		delete(n.best, dest)
 	}
+	d.best, d.hasBest = best, hasBest
 	n.changes++
 	n.lastChange = env.Now()
-	n.dirty[dest] = true
+	n.markDirty(d)
 	n.scheduleFlush(env)
+}
+
+// markDirty queues the destination for the next flush.
+func (n *Node) markDirty(d *destRIB) {
+	if !d.dirty {
+		d.dirty = true
+		n.dirty = append(n.dirty, d)
+	}
 }
 
 // better reports whether a should replace b as the selection.
@@ -335,53 +424,56 @@ func (n *Node) scheduleFlush(env simnet.Env) {
 	})
 }
 
-// flush implements gpvSend: advertise every dirty destination to every
-// neighbor admitted by the export filter, and withdraw from neighbors that
-// previously received a route we can no longer offer them.
+// flush implements gpvSend: advertise every dirty destination, in
+// destination order, to every neighbor admitted by the export filter, and
+// withdraw from neighbors that previously received a route we can no
+// longer offer them. One boxed Advert per destination is shared by all
+// neighbors. Send never re-enters the handler, so the dirty list is stable
+// while it is walked.
 func (n *Node) flush(env simnet.Env) {
 	self := env.Self()
-	dests := sortedNeighbors(n.dirty)
-	n.dirty = map[simnet.NodeID]bool{}
-	for _, dest := range dests {
-		best, has := n.best[dest]
-		if n.advertised[dest] == nil {
-			n.advertised[dest] = map[simnet.NodeID]string{}
+	slices.SortFunc(n.dirty, func(a, b *destRIB) int { return cmp.Compare(a.dest, b.dest) })
+	for _, d := range n.dirty {
+		d.dirty = false
+		// Origination announcements carry no signature: the receiver
+		// derives it (§V-B step 4), and they are not subject to ⊕E.
+		origin := d.dest == self && n.cfg.SelfOriginate
+		var adv Advert
+		var advPayload any
+		if d.hasBest {
+			adv = Advert{Dest: d.dest, Path: d.best.Path, Origination: origin}
+			if !origin {
+				adv.SigKey = sigKey(d.best.Sig)
+			}
+			advPayload = adv
 		}
-		sent := n.advertised[dest]
-		for _, nb := range env.Neighbors() {
-			if nb == dest && n.cfg.SelfOriginate {
+		for i, nb := range n.slots[:n.selfSlot()] {
+			if nb == d.dest && n.cfg.SelfOriginate {
 				// Never advertise a node to itself.
 				continue
 			}
-			want := ""
-			var payload any
-			var size int
-			if has {
-				if dest == self && n.cfg.SelfOriginate {
-					// Origination announcement: signature derived by the
-					// receiver (§V-B step 4); not subject to ⊕E.
-					adv := Advert{Dest: dest, Path: best.Path, Origination: true}
-					want, payload, size = "origin:"+string(dest), adv, adv.WireSize()
-				} else if n.cfg.Algebra.Export(n.cfg.Label(self, nb), best.Sig) {
-					adv := Advert{Dest: dest, Path: best.Path, SigKey: sigKey(best.Sig)}
-					want, payload, size = adv.SigKey+"|"+pathKey(best.Path), adv, adv.WireSize()
-				}
-			}
-			prev, hadPrev := sent[nb]
-			if want == "" {
-				if hadPrev && prev != "" {
-					w := Withdraw{Dest: dest}
+			out := &d.out[i]
+			if !d.hasBest || (!origin && !n.cfg.Algebra.Export(n.label(i), d.best.Sig)) {
+				if out.Path != nil {
+					w := Withdraw{Dest: d.dest}
 					env.Send(nb, w, w.WireSize())
-					sent[nb] = ""
+					*out = Advert{}
 				}
 				continue
 			}
-			if !hadPrev || prev != want {
-				env.Send(nb, payload, size)
-				sent[nb] = want
+			if !sameAdvert(*out, adv) {
+				env.Send(nb, advPayload, adv.WireSize())
+				*out = adv
 			}
 		}
 	}
+	n.dirty = n.dirty[:0]
+}
+
+// sameAdvert reports whether two adverts for one destination carry the
+// same route.
+func sameAdvert(a, b Advert) bool {
+	return a.Origination == b.Origination && a.SigKey == b.SigKey && pathEqual(a.Path, b.Path)
 }
 
 func sigKey(s algebra.Sig) string {
@@ -389,14 +481,6 @@ func sigKey(s algebra.Sig) string {
 		return ""
 	}
 	return s.String()
-}
-
-func pathKey(p []simnet.NodeID) string {
-	out := ""
-	for _, n := range p {
-		out += string(n) + "/"
-	}
-	return out
 }
 
 func pathEqual(a, b []simnet.NodeID) bool {
@@ -421,19 +505,4 @@ func pathLess(a, b []simnet.NodeID) bool {
 		}
 	}
 	return len(a) < len(b)
-}
-
-// sortedNeighbors returns map keys in sorted order for deterministic
-// iteration.
-func sortedNeighbors[V any](m map[simnet.NodeID]V) []simnet.NodeID {
-	out := make([]simnet.NodeID, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

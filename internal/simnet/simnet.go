@@ -140,8 +140,11 @@ type node struct {
 	neighbors []NodeID
 	links     []link           // parallel to neighbors: the outgoing link per neighbor
 	neighIdx  map[NodeID]int32 // neighbor ID → index into neighbors/links
-	rng       *rand.Rand
-	env       *simEnv
+	// rngSeed seeds rng, which is built on the first Rand call: runs
+	// without batching or stagger never draw from it.
+	rngSeed int64
+	rng     *rand.Rand
+	env     *simEnv
 }
 
 // Network is the discrete-event simulator. All scheduling is deterministic
@@ -201,7 +204,7 @@ func (n *Network) AddNode(id NodeID, h Handler) error {
 		idx:      int32(len(n.byIdx)),
 		handler:  h,
 		neighIdx: map[NodeID]int32{},
-		rng:      rand.New(rand.NewSource(n.rng.Int63())),
+		rngSeed:  n.rng.Int63(),
 	}
 	nd.env = &simEnv{net: n, node: nd}
 	n.nodes[id] = nd
@@ -480,7 +483,15 @@ type simEnv struct {
 
 func (e *simEnv) Self() NodeID       { return e.node.id }
 func (e *simEnv) Now() time.Duration { return e.net.now }
-func (e *simEnv) Rand() *rand.Rand   { return e.node.rng }
+
+// Rand returns the node's random source, seeded at AddNode and built on
+// first use.
+func (e *simEnv) Rand() *rand.Rand {
+	if e.node.rng == nil {
+		e.node.rng = rand.New(rand.NewSource(e.node.rngSeed))
+	}
+	return e.node.rng
+}
 
 // Neighbors returns the node's cached adjacency; the slice is shared and
 // must not be modified by the caller.

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -189,5 +190,41 @@ func TestDeploymentEcho(t *testing.T) {
 	msgs, _ := col.Totals()
 	if msgs != 2 {
 		t.Errorf("want 2 messages accounted, got %d", msgs)
+	}
+}
+
+// TestNodeRandSequence: each node's Rand() draws the sequence of a source
+// seeded with the network rng's next Int63 at AddNode, in AddNode order —
+// however late, and in whatever node order, the sources are first used.
+func TestNodeRandSequence(t *testing.T) {
+	const seed = 42
+	ids := []NodeID{"a", "b", "c"}
+	net := New(seed, nil)
+	for _, id := range ids {
+		if err := net.AddNode(id, &echoHandler{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := net.nodes["a"].rng; got != nil {
+		t.Fatal("node rng built before first use")
+	}
+	master := rand.New(rand.NewSource(seed))
+	want := map[NodeID][]int64{}
+	for _, id := range ids {
+		src := rand.New(rand.NewSource(master.Int63()))
+		for i := 0; i < 5; i++ {
+			want[id] = append(want[id], src.Int63())
+		}
+	}
+	// A network-level draw between AddNode and first use must not shift
+	// any node's sequence.
+	net.rng.Int63()
+	for _, id := range []NodeID{"c", "a", "b"} {
+		env := net.nodes[id].env
+		for i, w := range want[id] {
+			if got := env.Rand().Int63(); got != w {
+				t.Fatalf("node %s draw %d = %d, want %d", id, i, got, w)
+			}
+		}
 	}
 }
